@@ -1,8 +1,5 @@
 #include "frapp/core/gamma_diagonal.h"
 
-#include <algorithm>
-
-#include "frapp/common/parallel.h"
 #include "frapp/core/seeded_chunking.h"
 
 namespace frapp {
@@ -70,7 +67,9 @@ StatusOr<GammaPerturbPlan> GammaPerturbPlan::Create(
   uint64_t product = 1;
   for (size_t card : cardinalities) {
     if (card < 1) return Status::InvalidArgument("empty attribute domain");
-    product *= static_cast<uint64_t>(card);
+    if (__builtin_mul_overflow(product, static_cast<uint64_t>(card), &product)) {
+      return Status::InvalidArgument("joint domain size overflows 64 bits");
+    }
   }
   if (product != domain_size) {
     return Status::InvalidArgument("domain size disagrees with cardinalities");
@@ -99,30 +98,15 @@ std::vector<double> GammaPerturbPlan::DivergenceWeights(double d, double o) cons
   return weights;
 }
 
-size_t GammaPerturbPlan::SampleDivergenceColumn(double d, double o,
-                                                random::Pcg64& rng) const {
-  // The q_j decrease in j, so the divergence column is the first j whose
-  // threshold q_j falls at or below one uniform draw. Realistic matrices
-  // put most mass on column 0 (q_0 << 1), so the scan is short.
-  const double u = rng.NextDouble();
-  const size_t m = cardinalities_.size();
-  for (size_t j = 0; j < m; ++j) {
-    if (u >= d + suffix_minus_one_[j] * o) return j;
-  }
-  return m;
-}
-
 StatusOr<GammaDiagonalPerturber> GammaDiagonalPerturber::Create(
     const data::CategoricalSchema& schema, double gamma) {
-  FRAPP_ASSIGN_OR_RETURN(GammaDiagonalMatrix matrix,
-                         GammaDiagonalMatrix::Create(gamma, schema.DomainSize()));
-  std::vector<size_t> cardinalities(schema.num_attributes());
-  for (size_t j = 0; j < schema.num_attributes(); ++j) {
-    cardinalities[j] = schema.Cardinality(j);
-  }
+  // The plan first: it rejects a joint domain that overflows 64 bits before
+  // the matrix is sized from it.
   FRAPP_ASSIGN_OR_RETURN(
       GammaPerturbPlan plan,
-      GammaPerturbPlan::Create(std::move(cardinalities), schema.DomainSize()));
+      GammaPerturbPlan::Create(schema.Cardinalities(), schema.DomainSize()));
+  FRAPP_ASSIGN_OR_RETURN(GammaDiagonalMatrix matrix,
+                         GammaDiagonalMatrix::Create(gamma, schema.DomainSize()));
   FRAPP_ASSIGN_OR_RETURN(
       random::AliasSampler divergence,
       random::AliasSampler::Create(plan.DivergenceWeights(
@@ -131,23 +115,9 @@ StatusOr<GammaDiagonalPerturber> GammaDiagonalPerturber::Create(
                                 std::move(divergence));
 }
 
-using internal::ChunkRng;
-using internal::ColumnPointers;
-using internal::kPerturbChunkRows;
-
 StatusOr<data::CategoricalTable> GammaDiagonalPerturber::Perturb(
     const data::CategoricalTable& table, random::Pcg64& rng) const {
-  if (table.num_attributes() != plan_.num_attributes()) {
-    return Status::InvalidArgument("table schema does not match perturber");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.AppendZeroRows(table.num_rows());
-  ColumnPointers cols(table, &out);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    plan_.FillRow(divergence_.Sample(rng), cols.in.data(), cols.out.data(), i, rng);
-  }
-  return out;
+  return internal::PerturbRowsInOrder(table, *this, rng);
 }
 
 StatusOr<data::CategoricalTable> GammaDiagonalPerturber::PerturbSeeded(
@@ -167,24 +137,12 @@ StatusOr<data::CategoricalTable> GammaDiagonalPerturber::PerturbShardSeeded(
 
 StatusOr<data::CategoricalTable> GammaDiagonalPerturber::PerturbShardSeeded(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
-  FRAPP_RETURN_IF_ERROR(internal::ValidateShardView(shard));
-  const data::CategoricalTable& table = *shard.rows;
-  if (table.num_attributes() != plan_.num_attributes()) {
-    return Status::InvalidArgument("table schema does not match perturber");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.AppendZeroRows(shard.size());
-  ColumnPointers cols(table, &out, shard.local.begin);
-  internal::ForEachSeededChunk(
-      shard.size(), shard.global_begin, seed, num_threads,
-      [&](size_t begin, size_t end, random::Pcg64& rng) {
-        for (size_t i = begin; i < end; ++i) {
-          plan_.FillRow(divergence_.Sample(rng), cols.in.data(), cols.out.data(),
-                        i, rng);
-        }
-      });
-  return out;
+  return internal::PerturbShardColumns(shard, *this, seed, num_threads);
+}
+
+StatusOr<mining::VerticalIndex> GammaDiagonalPerturber::PerturbShardIndex(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
+  return internal::PerturbShardBitmaps(shard, *this, seed, num_threads);
 }
 
 }  // namespace core

@@ -27,6 +27,7 @@
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
 #include "frapp/linalg/uniform_mixture.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/random/alias_sampler.h"
 #include "frapp/random/rng.h"
 
@@ -108,7 +109,8 @@ void PerturbRecordDiagonalForm(const std::vector<uint8_t>& record,
 /// it is inverted from a single uniform with a short threshold scan.
 class GammaPerturbPlan {
  public:
-  /// Requires every cardinality >= 1 and domain_size = prod(cardinalities).
+  /// Requires every cardinality >= 1 and domain_size = prod(cardinalities);
+  /// a product that overflows 64 bits is InvalidArgument.
   static StatusOr<GammaPerturbPlan> Create(std::vector<size_t> cardinalities,
                                            uint64_t domain_size);
 
@@ -122,24 +124,36 @@ class GammaPerturbPlan {
   /// Divergence column for per-record (d, o): one uniform draw inverted
   /// against the q_j thresholds (O(expected scan) ~ 1 for realistic gamma).
   /// Returns num_attributes() for a full match.
-  size_t SampleDivergenceColumn(double d, double o, random::Pcg64& rng) const;
-
-  /// Writes the perturbation of row `i` into the output columns, given the
-  /// sampled divergence column: matched prefix copy, one mismatching draw at
-  /// the divergence column, uniform suffix.
-  void FillRow(size_t divergence_column, const uint8_t* const* in_cols,
-               uint8_t* const* out_cols, size_t i, random::Pcg64& rng) const {
+  size_t SampleDivergenceColumn(double d, double o, random::Pcg64& rng) const {
+    // The q_j decrease in j, so the divergence column is the first j whose
+    // threshold q_j falls at or below one uniform draw. Realistic matrices
+    // put most mass on column 0 (q_0 << 1), so the scan is short.
+    const double u = rng.NextDouble();
     const size_t m = cardinalities_.size();
-    for (size_t j = 0; j < divergence_column; ++j) out_cols[j][i] = in_cols[j][i];
+    for (size_t j = 0; j < m; ++j) {
+      if (u >= d + suffix_minus_one_[j] * o) return j;
+    }
+    return m;
+  }
+
+  /// Draws the perturbation of row `i` given its sampled divergence column
+  /// — matched prefix copy, one mismatching draw at the divergence column,
+  /// uniform suffix — and reports each value as emit(attribute, value)
+  /// (see core/seeded_chunking.h for the sinks).
+  template <typename Emit>
+  void SampleRow(size_t divergence_column, const uint8_t* const* in_cols,
+                 size_t i, random::Pcg64& rng, Emit&& emit) const {
+    const size_t m = cardinalities_.size();
+    for (size_t j = 0; j < divergence_column; ++j) emit(j, in_cols[j][i]);
     if (divergence_column >= m) return;
     // All card-1 mismatching values are equally likely (never sampled for
     // cardinality-1 columns: their divergence probability is exactly 0).
     const size_t card = cardinalities_[divergence_column];
     size_t value = static_cast<size_t>(rng.NextBounded(card - 1));
     if (value >= in_cols[divergence_column][i]) ++value;
-    out_cols[divergence_column][i] = static_cast<uint8_t>(value);
+    emit(divergence_column, static_cast<uint8_t>(value));
     for (size_t j = divergence_column + 1; j < m; ++j) {
-      out_cols[j][i] = static_cast<uint8_t>(rng.NextBounded(cardinalities_[j]));
+      emit(j, static_cast<uint8_t>(rng.NextBounded(cardinalities_[j])));
     }
   }
 
@@ -193,6 +207,22 @@ class GammaDiagonalPerturber {
   /// table.
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
+
+  /// PerturbShardSeeded fused with mining::VerticalIndex::Build: the same
+  /// draws, written straight into the shard's bitmap planes.
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
+
+  /// The per-row sampler behind every Perturb* form: divergence column from
+  /// the alias table, then the plan's row fill (see core/seeded_chunking.h).
+  template <typename Emit>
+  void SampleRow(const uint8_t* const* in_cols, size_t i, random::Pcg64& rng,
+                 Emit&& emit) const {
+    plan_.SampleRow(divergence_.Sample(rng), in_cols, i, rng, emit);
+  }
+  const std::vector<size_t>& cardinalities() const {
+    return plan_.cardinalities();
+  }
 
   const GammaDiagonalMatrix& matrix() const { return matrix_; }
   const GammaPerturbPlan& plan() const { return plan_; }

@@ -1,9 +1,7 @@
 #include "frapp/core/independent_column_scheme.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "frapp/common/parallel.h"
 #include "frapp/core/seeded_chunking.h"
 #include "frapp/data/domain_index.h"
 #include "frapp/linalg/kronecker.h"
@@ -11,57 +9,22 @@
 namespace frapp {
 namespace core {
 
-namespace {
-
-/// Per-attribute diagonal probabilities d_j = gamma_j * x_j.
-std::vector<double> StayProbabilities(const data::CategoricalSchema& schema,
-                                      double per_attribute_gamma) {
-  std::vector<double> stay(schema.num_attributes());
-  for (size_t j = 0; j < stay.size(); ++j) {
-    const double nj = static_cast<double>(schema.Cardinality(j));
-    stay[j] = per_attribute_gamma / (per_attribute_gamma + nj - 1.0);
-  }
-  return stay;
-}
-
-/// One attribute value through its gamma-diagonal matrix.
-uint8_t PerturbValue(uint8_t original, size_t card, double stay,
-                     random::Pcg64& rng) {
-  if (card == 1 || rng.NextBernoulli(stay)) return original;
-  size_t value = static_cast<size_t>(rng.NextBounded(card - 1));
-  if (value >= original) ++value;
-  return static_cast<uint8_t>(value);
-}
-
-}  // namespace
-
 StatusOr<IndependentColumnScheme> IndependentColumnScheme::Create(
     const data::CategoricalSchema& schema, double gamma) {
   if (!(gamma > 1.0)) return Status::InvalidArgument("gamma must exceed 1");
   const double per_attr =
       std::pow(gamma, 1.0 / static_cast<double>(schema.num_attributes()));
-  return IndependentColumnScheme(schema, gamma, per_attr);
+  std::vector<double> stay(schema.num_attributes());
+  for (size_t j = 0; j < stay.size(); ++j) {
+    const double nj = static_cast<double>(schema.Cardinality(j));
+    stay[j] = per_attr / (per_attr + nj - 1.0);
+  }
+  return IndependentColumnScheme(schema, gamma, per_attr, std::move(stay));
 }
 
 StatusOr<data::CategoricalTable> IndependentColumnScheme::Perturb(
     const data::CategoricalTable& table, random::Pcg64& rng) const {
-  if (table.num_attributes() != schema_.num_attributes()) {
-    return Status::InvalidArgument("table schema does not match scheme");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.Reserve(table.num_rows());
-
-  const size_t m = schema_.num_attributes();
-  const std::vector<double> stay = StayProbabilities(schema_, per_attribute_gamma_);
-  std::vector<uint8_t> row(m);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    for (size_t j = 0; j < m; ++j) {
-      row[j] = PerturbValue(table.Value(i, j), schema_.Cardinality(j), stay[j], rng);
-    }
-    FRAPP_RETURN_IF_ERROR(out.AppendRow(row));
-  }
-  return out;
+  return internal::PerturbRowsInOrder(table, *this, rng);
 }
 
 StatusOr<data::CategoricalTable> IndependentColumnScheme::PerturbSeeded(
@@ -74,29 +37,12 @@ StatusOr<data::CategoricalTable> IndependentColumnScheme::PerturbSeeded(
 
 StatusOr<data::CategoricalTable> IndependentColumnScheme::PerturbShardSeeded(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
-  using internal::kPerturbChunkRows;
-  FRAPP_RETURN_IF_ERROR(internal::ValidateShardView(shard));
-  const data::CategoricalTable& table = *shard.rows;
-  if (table.num_attributes() != schema_.num_attributes()) {
-    return Status::InvalidArgument("table schema does not match scheme");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.AppendZeroRows(shard.size());
-  internal::ColumnPointers cols(table, &out, shard.local.begin);
-  const size_t m = schema_.num_attributes();
-  const std::vector<double> stay = StayProbabilities(schema_, per_attribute_gamma_);
-  internal::ForEachSeededChunk(
-      shard.size(), shard.global_begin, seed, num_threads,
-      [&](size_t begin, size_t end, random::Pcg64& rng) {
-        for (size_t i = begin; i < end; ++i) {
-          for (size_t j = 0; j < m; ++j) {
-            cols.out[j][i] = PerturbValue(cols.in[j][i], schema_.Cardinality(j),
-                                          stay[j], rng);
-          }
-        }
-      });
-  return out;
+  return internal::PerturbShardColumns(shard, *this, seed, num_threads);
+}
+
+StatusOr<mining::VerticalIndex> IndependentColumnScheme::PerturbShardIndex(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
+  return internal::PerturbShardBitmaps(shard, *this, seed, num_threads);
 }
 
 linalg::Matrix IndependentColumnScheme::AttributeMatrix(size_t attribute) const {

@@ -28,6 +28,7 @@
 #include "frapp/mining/apriori.h"
 #include "frapp/mining/count_source.h"
 #include "frapp/mining/sharded_vertical_index.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/random/rng.h"
 
 namespace frapp {
@@ -61,6 +62,32 @@ class IndependentColumnScheme {
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
+  /// PerturbShardSeeded fused with mining::VerticalIndex::Build: the same
+  /// draws, written straight into the shard's bitmap planes.
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
+
+  /// The per-row sampler behind every Perturb* form (see
+  /// core/seeded_chunking.h): each attribute value, in attribute order,
+  /// through its own gamma-diagonal matrix — kept with probability stay_j,
+  /// else replaced by one of the other card_j - 1 values uniformly.
+  template <typename Emit>
+  void SampleRow(const uint8_t* const* in_cols, size_t i, random::Pcg64& rng,
+                 Emit&& emit) const {
+    for (size_t j = 0; j < cardinalities_.size(); ++j) {
+      const uint8_t original = in_cols[j][i];
+      const size_t card = cardinalities_[j];
+      if (card == 1 || rng.NextBernoulli(stay_[j])) {
+        emit(j, original);
+        continue;
+      }
+      size_t value = static_cast<size_t>(rng.NextBounded(card - 1));
+      if (value >= original) ++value;
+      emit(j, static_cast<uint8_t>(value));
+    }
+  }
+  const std::vector<size_t>& cardinalities() const { return cardinalities_; }
+
   /// Dense per-attribute transition matrix (|S_j| x |S_j|).
   linalg::Matrix AttributeMatrix(size_t attribute) const;
 
@@ -72,14 +99,18 @@ class IndependentColumnScheme {
 
  private:
   IndependentColumnScheme(data::CategoricalSchema schema, double gamma,
-                          double per_attribute_gamma)
+                          double per_attribute_gamma, std::vector<double> stay)
       : schema_(std::move(schema)),
         gamma_(gamma),
-        per_attribute_gamma_(per_attribute_gamma) {}
+        per_attribute_gamma_(per_attribute_gamma),
+        cardinalities_(schema_.Cardinalities()),
+        stay_(std::move(stay)) {}
 
   data::CategoricalSchema schema_;
   double gamma_;
   double per_attribute_gamma_;
+  std::vector<size_t> cardinalities_;
+  std::vector<double> stay_;  // per-attribute diagonal d_j = gamma_j * x_j
 };
 
 /// Support oracle for the independent-column scheme: reconstructs the joint

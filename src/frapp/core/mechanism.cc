@@ -27,6 +27,11 @@ StatusOr<data::CategoricalTable> Mechanism::PerturbShard(const data::ShardView&,
   return Status::Unimplemented(name() + " does not stream categorical shards");
 }
 
+StatusOr<mining::VerticalIndex> Mechanism::PerturbShardIndex(
+    const data::ShardView&, uint64_t, size_t) {
+  return Status::Unimplemented(name() + " does not stream categorical shards");
+}
+
 StatusOr<data::BooleanTable> Mechanism::PerturbBooleanShard(
     const data::ShardView&, uint64_t, size_t) {
   return Status::Unimplemented(name() + " does not stream boolean shards");
@@ -138,6 +143,11 @@ StatusOr<data::CategoricalTable> DetGdMechanism::PerturbShard(
   return perturber_.PerturbShardSeeded(shard, seed, num_threads);
 }
 
+StatusOr<mining::VerticalIndex> DetGdMechanism::PerturbShardIndex(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads) {
+  return perturber_.PerturbShardIndex(shard, seed, num_threads);
+}
+
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
 DetGdMechanism::MakeCountSourceEstimator(
     std::shared_ptr<mining::SupportCountSource> source) {
@@ -183,6 +193,11 @@ StatusOr<double> RanGdMechanism::ConditionNumberForLength(size_t) const {
 StatusOr<data::CategoricalTable> RanGdMechanism::PerturbShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   return perturber_.PerturbShardSeeded(shard, seed, num_threads);
+}
+
+StatusOr<mining::VerticalIndex> RanGdMechanism::PerturbShardIndex(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads) {
+  return perturber_.PerturbShardIndex(shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
@@ -332,6 +347,11 @@ Status IndependentColumnMechanism::Prepare(const data::CategoricalTable& origina
 StatusOr<data::CategoricalTable> IndependentColumnMechanism::PerturbShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   return scheme_.PerturbShardSeeded(shard, seed, num_threads);
+}
+
+StatusOr<mining::VerticalIndex> IndependentColumnMechanism::PerturbShardIndex(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads) {
+  return scheme_.PerturbShardIndex(shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>

@@ -61,11 +61,11 @@ class Mechanism {
   // row-partitionable count, so ALL mechanisms stream chunk-aligned row
   // shards through perturb -> index -> count with bit-identical results to
   // the monolithic seeded pass. A mechanism declares which perturbed
-  // representation it streams: categorical rows indexed by
-  // mining::VerticalIndex (DET-GD, RAN-GD, IND-GD) or one-hot boolean rows
-  // indexed by data::BooleanVerticalIndex (MASK, C&P). The pipeline calls
-  // the matching PerturbShard*/MakeSharded*Estimator pair; there is no
-  // monolithic fallback.
+  // representation it streams: categorical shards perturbed straight into
+  // mining::VerticalIndex bitmap planes (DET-GD, RAN-GD, IND-GD) or one-hot
+  // boolean rows indexed by data::BooleanVerticalIndex (MASK, C&P). The
+  // engines call PerturbShardIndex/PerturbBooleanShard and the matching
+  // MakeSharded*Estimator; there is no monolithic fallback.
 
   /// Representation of a perturbed shard in the streaming pipeline.
   enum class ShardKind { kCategorical, kBoolean };
@@ -84,6 +84,14 @@ class Mechanism {
   /// shard.global_begin, so any chunk-aligned partition concatenates to the
   /// monolithic seeded output). Only for shard_kind() == kCategorical.
   virtual StatusOr<data::CategoricalTable> PerturbShard(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads);
+
+  /// PerturbShard fused with mining::VerticalIndex::Build: the same seeded
+  /// draws, written straight into the shard's bitmap planes, so no
+  /// perturbed rows are materialized. raw_bits() equals that of
+  /// VerticalIndex::Build(*PerturbShard(shard, seed, n)) for every thread
+  /// count. Only for shard_kind() == kCategorical.
+  virtual StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads);
 
   /// Client side of one boolean shard: one-hot encodes the shard's rows and
@@ -139,6 +147,8 @@ class DetGdMechanism : public Mechanism {
   bool SupportsShardStreaming() const override { return true; }
   StatusOr<data::CategoricalTable> PerturbShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
       std::shared_ptr<mining::SupportCountSource> source) override;
 
@@ -178,6 +188,8 @@ class RanGdMechanism : public Mechanism {
 
   bool SupportsShardStreaming() const override { return true; }
   StatusOr<data::CategoricalTable> PerturbShard(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
       std::shared_ptr<mining::SupportCountSource> source) override;
@@ -286,6 +298,8 @@ class IndependentColumnMechanism : public Mechanism {
 
   bool SupportsShardStreaming() const override { return true; }
   StatusOr<data::CategoricalTable> PerturbShard(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
       std::shared_ptr<mining::SupportCountSource> source) override;

@@ -20,6 +20,7 @@
 #include "frapp/core/privacy.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/random/distributions.h"
 #include "frapp/random/rng.h"
 
@@ -65,6 +66,30 @@ class RandomizedGammaPerturber {
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
+  /// PerturbShardSeeded fused with mining::VerticalIndex::Build: the same
+  /// draws, written straight into the shard's bitmap planes.
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
+
+  /// The per-row sampler behind every Perturb* form (see
+  /// core/seeded_chunking.h): draw this client's matrix realization, then
+  /// the divergence column and the plan's row fill.
+  template <typename Emit>
+  void SampleRow(const uint8_t* const* in_cols, size_t i, random::Pcg64& rng,
+                 Emit&& emit) const {
+    // E[diagonal] = gamma x.
+    const double r = random::SampleRandomizationParameter(kind_, alpha_, rng);
+    const double d = matrix_.DiagonalValue() + r;
+    const double o =
+        matrix_.OffDiagonalValue() -
+        r / (static_cast<double>(matrix_.domain_size()) - 1.0);
+    plan_.SampleRow(plan_.SampleDivergenceColumn(d, o, rng), in_cols, i, rng,
+                    emit);
+  }
+  const std::vector<size_t>& cardinalities() const {
+    return plan_.cardinalities();
+  }
+
   /// The expected matrix (what the miner reconstructs with).
   const GammaDiagonalMatrix& expected_matrix() const { return matrix_; }
 
@@ -85,11 +110,6 @@ class RandomizedGammaPerturber {
         plan_(std::move(plan)),
         alpha_(alpha),
         kind_(kind) {}
-
-  /// One record: draw this client's matrix realization, then divergence
-  /// column + fill.
-  void PerturbRow(const uint8_t* const* in_cols, uint8_t* const* out_cols,
-                  size_t i, random::Pcg64& rng) const;
 
   GammaDiagonalMatrix matrix_;
   GammaPerturbPlan plan_;

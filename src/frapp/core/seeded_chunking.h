@@ -1,9 +1,19 @@
 // Shared machinery for deterministic seeded bulk perturbation.
 //
-// Both gamma perturbers split rows into fixed-size chunks whose RNG stream
-// is a pure function of (master seed, chunk index). The chunk size and the
-// stream derivation ARE the determinism contract — one definition here so
-// the perturbers can never drift apart.
+// The categorical perturbers split rows into fixed-size chunks whose RNG
+// stream is a pure function of (master seed, chunk index). The chunk size
+// and the stream derivation ARE the determinism contract — one definition
+// here so the perturbers can never drift apart.
+//
+// Each categorical perturber writes its per-row sampler ONCE, against an
+// emit(attribute, value) sink:
+//     perturber.SampleRow(in_cols, i, rng, emit)
+// draws the perturbation of input row i (attribute j read at in_cols[j][i])
+// and reports every perturbed value through emit; perturber.cardinalities()
+// is the schema shape it was built for. The loops below feed that one
+// sampler to two sinks — perturbed column bytes (PerturbShardColumns) and
+// the perturbed rows' bitmap planes (PerturbShardBitmaps) — so the two
+// outputs draw the same streams in the same order and cannot disagree.
 
 #ifndef FRAPP_CORE_SEEDED_CHUNKING_H_
 #define FRAPP_CORE_SEEDED_CHUNKING_H_
@@ -14,8 +24,10 @@
 
 #include "frapp/common/parallel.h"
 #include "frapp/common/status.h"
+#include "frapp/common/statusor.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/random/rng.h"
 
 namespace frapp {
@@ -95,24 +107,128 @@ void ForEachSeededChunk(size_t num_rows, size_t global_begin, uint64_t seed,
       });
 }
 
-/// Gathers the raw column pointers of both tables once per bulk call.
-/// `in_row_offset` shifts the input pointers so that a shard output table
-/// (local row i) reads from input row `in_row_offset + i`.
-struct ColumnPointers {
-  std::vector<const uint8_t*> in;
-  std::vector<uint8_t*> out;
-
-  ColumnPointers(const data::CategoricalTable& input,
-                 data::CategoricalTable* output, size_t in_row_offset = 0) {
-    const size_t m = input.num_attributes();
-    in.resize(m);
-    out.resize(m);
-    for (size_t j = 0; j < m; ++j) {
-      in[j] = input.Column(j).data() + in_row_offset;
-      out[j] = output->MutableColumnData(j);
-    }
+/// Column j of `table` from row `row_offset` on, for every j: local row i
+/// of a shard reads input row `row_offset + i`.
+inline std::vector<const uint8_t*> ColumnsFrom(
+    const data::CategoricalTable& table, size_t row_offset = 0) {
+  std::vector<const uint8_t*> cols(table.num_attributes());
+  for (size_t j = 0; j < cols.size(); ++j) {
+    cols[j] = table.Column(j).data() + row_offset;
   }
-};
+  return cols;
+}
+
+inline std::vector<uint8_t*> MutableColumns(data::CategoricalTable& table) {
+  std::vector<uint8_t*> cols(table.num_attributes());
+  for (size_t j = 0; j < cols.size(); ++j) {
+    cols[j] = table.MutableColumnData(j);
+  }
+  return cols;
+}
+
+/// Checks that `table` has the attributes and cardinalities a perturber was
+/// built for: every value a sampler emits must index a plane of the
+/// table's own item layout.
+inline Status ValidatePerturberShape(const data::CategoricalTable& table,
+                                     const std::vector<size_t>& cardinalities) {
+  if (table.schema().Cardinalities() != cardinalities) {
+    return Status::InvalidArgument("table schema does not match perturber");
+  }
+  return Status::OK();
+}
+
+/// Samples every row of `table` in order from one caller-owned generator
+/// (the non-seeded Perturb form), into column bytes.
+template <typename Perturber>
+StatusOr<data::CategoricalTable> PerturbRowsInOrder(
+    const data::CategoricalTable& table, const Perturber& perturber,
+    random::Pcg64& rng) {
+  FRAPP_RETURN_IF_ERROR(
+      ValidatePerturberShape(table, perturber.cardinalities()));
+  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
+                         data::CategoricalTable::Create(table.schema()));
+  out.AppendZeroRows(table.num_rows());
+  const std::vector<const uint8_t*> in = ColumnsFrom(table);
+  const std::vector<uint8_t*> cols = MutableColumns(out);
+  for (size_t i = 0; i < table.num_rows(); ++i) {
+    perturber.SampleRow(in.data(), i, rng,
+                        [&](size_t j, uint8_t value) { cols[j][i] = value; });
+  }
+  return out;
+}
+
+/// The one seeded-chunk row loop behind both shard sinks: samples every row
+/// of `shard` (already validated) with its global chunk's stream and
+/// reports value `value` of attribute `j` of local row `i` as
+/// sink(i, j, value).
+template <typename Perturber, typename Sink>
+void SampleShardRows(const data::ShardView& shard, const Perturber& perturber,
+                     uint64_t seed, size_t num_threads, const Sink& sink) {
+  const std::vector<const uint8_t*> in =
+      ColumnsFrom(*shard.rows, shard.local.begin);
+  ForEachSeededChunk(
+      shard.size(), shard.global_begin, seed, num_threads,
+      [&](size_t begin, size_t end, random::Pcg64& rng) {
+        for (size_t i = begin; i < end; ++i) {
+          perturber.SampleRow(in.data(), i, rng, [&](size_t j, uint8_t value) {
+            sink(i, j, value);
+          });
+        }
+      });
+}
+
+/// The checks both shard sinks run before touching a byte: the seeded-chunk
+/// contract, then the perturber's shape.
+inline Status ValidateShardFor(const data::ShardView& shard,
+                               const std::vector<size_t>& cardinalities) {
+  FRAPP_RETURN_IF_ERROR(ValidateShardView(shard));
+  return ValidatePerturberShape(*shard.rows, cardinalities);
+}
+
+/// Column-bytes sink: perturbs the rows of `shard` on the seeded-chunk grid
+/// into a fresh table of shard-size rows.
+template <typename Perturber>
+StatusOr<data::CategoricalTable> PerturbShardColumns(
+    const data::ShardView& shard, const Perturber& perturber, uint64_t seed,
+    size_t num_threads) {
+  FRAPP_RETURN_IF_ERROR(ValidateShardFor(shard, perturber.cardinalities()));
+  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
+                         data::CategoricalTable::Create(shard.rows->schema()));
+  out.AppendZeroRows(shard.size());
+  const std::vector<uint8_t*> cols = MutableColumns(out);
+  SampleShardRows(shard, perturber, seed, num_threads,
+                  [&](size_t i, size_t j, uint8_t value) { cols[j][i] = value; });
+  return out;
+}
+
+/// Bitmap sink: perturbs the rows of `shard` on the seeded-chunk grid
+/// straight into the bitmap planes of their vertical index. Bit-identical
+/// to mining::VerticalIndex::Build(PerturbShardColumns(...)), without the
+/// perturbed rows or the transpose pass.
+template <typename Perturber>
+StatusOr<mining::VerticalIndex> PerturbShardBitmaps(
+    const data::ShardView& shard, const Perturber& perturber, uint64_t seed,
+    size_t num_threads) {
+  FRAPP_RETURN_IF_ERROR(ValidateShardFor(shard, perturber.cardinalities()));
+  const data::CategoricalSchema& schema = shard.rows->schema();
+  const size_t words = (shard.size() + 63) / 64;
+  std::vector<size_t> offsets = mining::VerticalIndex::ItemOffsets(schema);
+  std::vector<uint64_t> bits(schema.TotalCategories() * words, 0);
+  std::vector<uint64_t*> planes(offsets.size());  // first plane per attribute
+  for (size_t j = 0; j < planes.size(); ++j) {
+    planes[j] = bits.data() + offsets[j] * words;
+  }
+  // Every chunk starts on a multiple of 64 rows, so it owns whole words of
+  // every plane and chunk-parallel writers never share a word.
+  static_assert(kPerturbChunkRows % 64 == 0);
+  SampleShardRows(shard, perturber, seed, num_threads,
+                  [&](size_t i, size_t j, uint8_t value) {
+                    planes[j][static_cast<size_t>(value) * words + (i >> 6)] |=
+                        1ull << (i & 63);
+                  });
+  return mining::VerticalIndex::FromRaw(shard.size(), std::move(offsets),
+                                        std::move(bits));
+}
 
 }  // namespace internal
 }  // namespace core

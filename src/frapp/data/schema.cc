@@ -33,6 +33,14 @@ StatusOr<CategoricalSchema> CategoricalSchema::Create(
   return CategoricalSchema(std::move(attributes));
 }
 
+std::vector<size_t> CategoricalSchema::Cardinalities() const {
+  std::vector<size_t> cardinalities(attributes_.size());
+  for (size_t j = 0; j < attributes_.size(); ++j) {
+    cardinalities[j] = attributes_[j].cardinality();
+  }
+  return cardinalities;
+}
+
 uint64_t CategoricalSchema::DomainSize() const {
   uint64_t size = 1;
   for (const Attribute& attr : attributes_) {

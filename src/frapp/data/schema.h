@@ -39,7 +39,12 @@ class CategoricalSchema {
   /// Cardinality |S_U^j| of attribute j.
   size_t Cardinality(size_t j) const { return attributes_[j].cardinality(); }
 
-  /// Joint domain size |S_U| = prod_j |S_U^j|.
+  /// Cardinalities of every attribute, in attribute order.
+  std::vector<size_t> Cardinalities() const;
+
+  /// Joint domain size |S_U| = prod_j |S_U^j|. Wraps modulo 2^64 when the
+  /// product does not fit; the gamma-diagonal perturbers reject such schemas
+  /// (see core::GammaPerturbPlan::Create).
   uint64_t DomainSize() const;
 
   /// Sum of cardinalities (the M_b of the paper's boolean mapping).

@@ -36,7 +36,8 @@ struct LocalState {
 };
 
 /// Streams the source's shards intersected with [begin, end) through
-/// perturb -> index -> drop. Every sub-shard keeps its GLOBAL row position,
+/// perturb -> index -> drop (categorical shards perturb straight into their
+/// index). Every sub-shard keeps its GLOBAL row position,
 /// so the seeded-chunk streams — and therefore the perturbed bits — equal
 /// the single-process pass over the same rows.
 StatusOr<CachedRangeIndex> IngestRange(uint64_t range_begin,
@@ -83,12 +84,11 @@ StatusOr<CachedRangeIndex> IngestRange(uint64_t range_begin,
       }
     } else {
       FRAPP_ASSIGN_OR_RETURN(
-          data::CategoricalTable perturbed,
-          state.mechanism->PerturbShard(view, seed, options.num_threads));
+          mining::VerticalIndex index,
+          state.mechanism->PerturbShardIndex(view, seed, options.num_threads));
       shard.owned.reset();
-      built.num_rows += perturbed.num_rows();
-      built.categorical_shards.push_back(
-          mining::VerticalIndex::Build(perturbed, options.num_threads));
+      built.num_rows += index.num_rows();
+      built.categorical_shards.push_back(std::move(index));
     }  // the perturbed rows are dropped here
   }
   return built;

@@ -1,7 +1,8 @@
 #include "frapp/mining/apriori.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cstddef>
+#include <utility>
 
 #include "frapp/mining/support_counter.h"
 
@@ -58,48 +59,49 @@ size_t AprioriResult::MaxLength() const {
 // Apriori join: combine sorted frequent k-itemsets sharing their first k-1
 // items; prune candidates with an infrequent k-subset.
 std::vector<Itemset> GenerateCandidates(
-    const std::vector<FrequentItemset>& frequent,
-    const std::unordered_set<Itemset, Itemset::Hash>& frequent_lookup) {
+    const std::vector<FrequentItemset>& frequent) {
   std::vector<Itemset> candidates;
+  // Reused across pairs, so only kept candidates allocate.
+  std::vector<Item> joined;
+  std::vector<Item> subset;
+  const auto is_frequent = [&frequent](const std::vector<Item>& items) {
+    const auto it = std::lower_bound(
+        frequent.begin(), frequent.end(), items,
+        [](const FrequentItemset& f, const std::vector<Item>& probe) {
+          return f.itemset.items() < probe;
+        });
+    return it != frequent.end() && it->itemset.items() == items;
+  };
   const size_t n = frequent.size();
   for (size_t a = 0; a < n; ++a) {
     const std::vector<Item>& items_a = frequent[a].itemset.items();
+    const size_t k = items_a.size();
     for (size_t b = a + 1; b < n; ++b) {
       const std::vector<Item>& items_b = frequent[b].itemset.items();
       // Shared (k-1)-prefix? The lists are globally sorted, so once prefixes
       // diverge for this `a`, later `b` cannot match either.
-      bool prefix_equal = true;
-      for (size_t i = 0; i + 1 < items_a.size(); ++i) {
-        if (!(items_a[i] == items_b[i])) {
-          prefix_equal = false;
-          break;
-        }
+      if (!std::equal(items_a.begin(), items_a.end() - 1, items_b.begin())) {
+        break;
       }
-      if (!prefix_equal) break;
-      const Item& last_a = items_a.back();
       const Item& last_b = items_b.back();
-      if (last_a.attribute == last_b.attribute) continue;  // same-attr clash
+      if (items_a.back().attribute == last_b.attribute) continue;  // clash
 
-      std::vector<Item> joined = items_a;
+      // b sorts after a, so last_b > last_a and the join is already sorted.
+      joined.assign(items_a.begin(), items_a.end());
       joined.push_back(last_b);
-      std::sort(joined.begin(), joined.end());
-      Itemset candidate = Itemset::FromSortedUnchecked(std::move(joined));
 
-      // Prune: every k-subset must be frequent.
+      // Prune: every k-subset must be frequent (binary search of the
+      // sorted list). Dropping the last item gives items_a and dropping the
+      // one before gives items_b, so only the first k-1 drops need a probe.
       bool all_subsets_frequent = true;
-      const std::vector<Item>& citems = candidate.items();
-      std::vector<Item> subset(citems.size() - 1);
-      for (size_t skip = 0; skip < citems.size() && all_subsets_frequent; ++skip) {
-        size_t w = 0;
-        for (size_t i = 0; i < citems.size(); ++i) {
-          if (i != skip) subset[w++] = citems[i];
-        }
-        if (frequent_lookup.find(Itemset::FromSortedUnchecked(subset)) ==
-            frequent_lookup.end()) {
-          all_subsets_frequent = false;
-        }
+      for (size_t skip = 0; skip + 1 < k && all_subsets_frequent; ++skip) {
+        subset.assign(joined.begin(), joined.end());
+        subset.erase(subset.begin() + static_cast<std::ptrdiff_t>(skip));
+        all_subsets_frequent = is_frequent(subset);
       }
-      if (all_subsets_frequent) candidates.push_back(std::move(candidate));
+      if (all_subsets_frequent) {
+        candidates.push_back(Itemset::FromSortedUnchecked(joined));
+      }
     }
   }
   return candidates;
@@ -143,13 +145,10 @@ StatusOr<AprioriResult> MineFrequentItemsets(const data::CategoricalSchema& sche
               [](const FrequentItemset& a, const FrequentItemset& b) {
                 return a.itemset < b.itemset;
               });
-    result.by_length.push_back(frequent);
-    if (frequent.empty() || k == max_length) break;
-
-    std::unordered_set<Itemset, Itemset::Hash> lookup;
-    lookup.reserve(frequent.size() * 2);
-    for (const FrequentItemset& f : frequent) lookup.insert(f.itemset);
-    candidates = GenerateCandidates(frequent, lookup);
+    result.by_length.push_back(std::move(frequent));
+    const std::vector<FrequentItemset>& level = result.by_length.back();
+    if (level.empty() || k == max_length) break;
+    candidates = GenerateCandidates(level);
   }
   return result;
 }

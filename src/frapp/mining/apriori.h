@@ -11,7 +11,6 @@
 #define FRAPP_MINING_APRIORI_H_
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "frapp/common/statusor.h"
@@ -107,14 +106,14 @@ struct AprioriResult {
 /// Apriori candidate generation (the VLDB'94 join + prune): combines
 /// itemsets of `frequent` — which MUST be sorted by itemset — that share
 /// their first k-1 items, skips same-attribute clashes, and prunes any
-/// candidate with a k-subset missing from `frequent_lookup`. Exposed (it
-/// used to be internal to MineFrequentItemsets) so the incremental superset
-/// walker in frapp/store generates candidate lists through the EXACT same
-/// code path as a from-scratch mine — the bit-identity of incremental
-/// mining rests on the two walks agreeing candidate for candidate.
+/// candidate with a k-subset missing from `frequent` (binary search over the
+/// sorted list; no per-probe allocation). Exposed (it used to be internal to
+/// MineFrequentItemsets) so the incremental superset walker in frapp/store
+/// generates candidate lists through the EXACT same code path as a
+/// from-scratch mine — the bit-identity of incremental mining rests on the
+/// two walks agreeing candidate for candidate.
 std::vector<Itemset> GenerateCandidates(
-    const std::vector<FrequentItemset>& frequent,
-    const std::unordered_set<Itemset, Itemset::Hash>& frequent_lookup);
+    const std::vector<FrequentItemset>& frequent);
 
 /// Runs Apriori over the schema's item universe using `estimator` as the
 /// support oracle.

@@ -6,6 +6,17 @@
 namespace frapp {
 namespace mining {
 
+std::vector<size_t> VerticalIndex::ItemOffsets(
+    const data::CategoricalSchema& schema) {
+  std::vector<size_t> offsets(schema.num_attributes());
+  size_t items = 0;
+  for (size_t j = 0; j < offsets.size(); ++j) {
+    offsets[j] = items;
+    items += schema.Cardinality(j);
+  }
+  return offsets;
+}
+
 VerticalIndex VerticalIndex::Build(const data::CategoricalTable& table,
                                    size_t num_threads) {
   return BuildRange(table, data::RowRange{0, table.num_rows()}, num_threads);
@@ -19,13 +30,8 @@ VerticalIndex VerticalIndex::BuildRange(const data::CategoricalTable& table,
   const size_t m = schema.num_attributes();
   index.num_rows_ = range.size();
   index.words_ = (index.num_rows_ + 63) / 64;
-  index.offsets_.resize(m);
-  size_t items = 0;
-  for (size_t j = 0; j < m; ++j) {
-    index.offsets_[j] = items;
-    items += schema.Cardinality(j);
-  }
-  index.bits_.assign(items * index.words_, 0);
+  index.offsets_ = ItemOffsets(schema);
+  index.bits_.assign(schema.TotalCategories() * index.words_, 0);
 
   // Attributes write disjoint bitmap ranges, so parallelizing over them is
   // race-free and bit-identical for every worker count.

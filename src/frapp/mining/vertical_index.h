@@ -45,6 +45,10 @@ class VerticalIndex {
                                   const data::RowRange& range,
                                   size_t num_threads = 1);
 
+  /// First item slot of each attribute of `schema`: attribute-major,
+  /// category ascending. The plane layout every index over the schema uses.
+  static std::vector<size_t> ItemOffsets(const data::CategoricalSchema& schema);
+
   size_t num_rows() const { return num_rows_; }
   size_t words_per_item() const { return words_; }
 

@@ -67,20 +67,27 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
   PipelineResult result;
   const bool boolean_shards =
       mechanism.shard_kind() == core::Mechanism::ShardKind::kBoolean;
-  const size_t bytes_per_row = boolean_shards
-                                   ? sizeof(uint64_t)
-                                   : source.schema().num_attributes();
+  // Perturbed bytes of a shard: eight per one-hot row, or the bitmap planes
+  // a categorical shard is perturbed straight into (one uint64_t per 64 rows
+  // per item).
+  const size_t total_categories = source.schema().TotalCategories();
+  const auto perturbed_bytes = [&](size_t rows) {
+    return boolean_shards
+               ? rows * sizeof(uint64_t)
+               : total_categories * ((rows + 63) / 64) * sizeof(uint64_t);
+  };
 
   // Stream the source in batches of up to `batch` shards: shards are pulled
   // sequentially (sources are single-threaded parsers/generators), then each
-  // batch fans perturb + index out over the workers. A task perturbs its
-  // shard, transposes it into a local vertical index, and drops both the
-  // perturbed rows and (for streaming sources) the input buffer before
-  // returning, so at most one batch of rows is ever alive at once. Every
-  // task is a pure function of its shard's global position (global
-  // seeded-chunk RNG streams) and counts merge as integer sums, so the
-  // result is bit-identical for any source kind, shard count and thread
-  // count.
+  // batch fans perturbation out over the workers. A categorical task
+  // perturbs its shard straight into the bitmap planes of its local
+  // vertical index; a boolean task perturbs one-hot rows and indexes them.
+  // Either drops the perturbed rows and (for streaming sources) the input
+  // buffer before returning, so at most one batch of shards is ever being
+  // perturbed at once. Every task is a pure function of its shard's global
+  // position (global seeded-chunk RNG streams) and counts merge as integer
+  // sums, so the result is bit-identical for any source kind, shard count
+  // and thread count.
   std::vector<mining::VerticalIndex> cat_indexes;
   std::vector<data::BooleanVerticalIndex> bool_indexes;
   std::atomic<size_t> inflight_bytes{0};
@@ -118,41 +125,38 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
     // pool's single job slot, so nested parallel calls would run inline
     // anyway — give shard tasks one thread. A one-shard batch runs inline at
     // the outer level instead, so the full thread budget flows into the
-    // shard's own chunk-parallel perturbation and index build.
+    // shard's own chunk-parallel perturbation.
     const size_t inner_threads =
         pending.size() == 1 ? options_.num_threads : 1;
     common::ParallelForChunks(
         pending.size(), options_.num_threads, [&](size_t i) {
           PulledShard& shard = pending[i];
-          const size_t shard_bytes = shard.view.size() * bytes_per_row;
+          // In flight from the shard's first perturbed byte until its task
+          // hands over the index.
+          const size_t shard_bytes = perturbed_bytes(shard.view.size());
+          RaiseToAtLeast(peak_bytes,
+                         inflight_bytes.fetch_add(shard_bytes,
+                                                  std::memory_order_relaxed) +
+                             shard_bytes);
           if (boolean_shards) {
             StatusOr<data::BooleanTable> perturbed = mechanism.PerturbBooleanShard(
                 shard.view, options_.perturb_seed, inner_threads);
             shard.owned.reset();  // source buffer dropped once perturbed
-            if (!perturbed.ok()) {
+            if (perturbed.ok()) {
+              bool_indexes[base + i] = data::BooleanVerticalIndex(*perturbed);
+            } else {
               statuses[i] = perturbed.status();
-              return;
-            }
-            RaiseToAtLeast(peak_bytes,
-                           inflight_bytes.fetch_add(shard_bytes,
-                                                    std::memory_order_relaxed) +
-                               shard_bytes);
-            bool_indexes[base + i] = data::BooleanVerticalIndex(*perturbed);
+            }  // the perturbed one-hot rows are dropped here
           } else {
-            StatusOr<data::CategoricalTable> perturbed = mechanism.PerturbShard(
+            StatusOr<mining::VerticalIndex> index = mechanism.PerturbShardIndex(
                 shard.view, options_.perturb_seed, inner_threads);
             shard.owned.reset();
-            if (!perturbed.ok()) {
-              statuses[i] = perturbed.status();
-              return;
+            if (index.ok()) {
+              cat_indexes[base + i] = *std::move(index);
+            } else {
+              statuses[i] = index.status();
             }
-            RaiseToAtLeast(peak_bytes,
-                           inflight_bytes.fetch_add(shard_bytes,
-                                                    std::memory_order_relaxed) +
-                               shard_bytes);
-            cat_indexes[base + i] =
-                mining::VerticalIndex::Build(*perturbed, inner_threads);
-          }  // the perturbed shard rows are dropped here
+          }
           inflight_bytes.fetch_sub(shard_bytes, std::memory_order_relaxed);
         });
     for (size_t i = 0; i < pending.size(); ++i) {

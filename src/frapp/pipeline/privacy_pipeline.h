@@ -4,15 +4,16 @@
 // FRAPP's guarantees are per-record, so the pipeline pulls chunk-aligned row
 // shards from a TableSource (in-memory table, chunked CSV stream, or
 // synthetic generator — see table_source.h) and streams each shard through
-// client-side perturbation and vertical-index construction; the perturbed
-// rows are dropped the moment their shard is indexed, and a streaming
-// source's input rows the moment their shard is perturbed, so peak memory is
-// O(in-flight shards x shard), never O(table). Mining then runs over the
-// merged per-shard indexes with shard-parallel candidate counting. Because
-// perturbation draws global seeded-chunk RNG streams and support counts are
-// integer sums, the mined result is BIT-IDENTICAL for every (source kind,
-// shard count, thread count) combination — parallelism and memory bounds are
-// free of accuracy semantics.
+// client-side perturbation into its vertical index: categorical shards are
+// perturbed straight into bitmap planes, one-hot boolean shards are indexed
+// and dropped. A streaming source's input rows are dropped the moment their
+// shard is perturbed, so peak memory is O(in-flight shards x shard), never
+// O(table). Mining then runs over the merged per-shard indexes with
+// shard-parallel candidate counting. Because perturbation draws global
+// seeded-chunk RNG streams and support counts are integer sums, the mined
+// result is BIT-IDENTICAL for every (source kind, shard count, thread count)
+// combination — parallelism and memory bounds are free of accuracy
+// semantics.
 //
 // Every mechanism streams: DET-GD, RAN-GD and IND-GD as categorical shards
 // counted by mining::ShardedVerticalIndex, MASK and C&P as one-hot boolean
@@ -100,10 +101,11 @@ struct PipelineStats {
   /// Rows of the largest shard: the per-shard work/memory unit.
   size_t max_shard_rows = 0;
 
-  /// High-water mark of perturbed-row bytes alive at once, bounded by
-  /// (in-flight shards <= threads) x shard bytes. Categorical shards count
-  /// one byte per attribute per row; boolean (one-hot) shards eight bytes
-  /// per row.
+  /// High-water mark of perturbed-shard bytes alive at once, bounded by
+  /// (in-flight shards <= threads) x shard bytes. Categorical shards are
+  /// perturbed straight into bitmap planes and count those planes' bytes
+  /// (one uint64_t per 64 rows per item); boolean (one-hot) shards count
+  /// eight bytes per perturbed row.
   size_t peak_inflight_perturbed_bytes = 0;
 
   /// Nanoseconds the pipeline's pull loop spent blocked in

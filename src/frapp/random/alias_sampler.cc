@@ -55,10 +55,5 @@ StatusOr<AliasSampler> AliasSampler::Create(const std::vector<double>& weights) 
   return AliasSampler(std::move(probability), std::move(alias), std::move(normalized));
 }
 
-size_t AliasSampler::Sample(Pcg64& rng) const {
-  const size_t bucket = static_cast<size_t>(rng.NextBounded(probability_.size()));
-  return rng.NextDouble() < probability_[bucket] ? bucket : alias_[bucket];
-}
-
 }  // namespace random
 }  // namespace frapp

@@ -22,8 +22,13 @@ class AliasSampler {
   /// positive sum.
   static StatusOr<AliasSampler> Create(const std::vector<double>& weights);
 
-  /// Draws one index.
-  size_t Sample(Pcg64& rng) const;
+  /// Draws one index. Header-inline: the DET-GD perturber draws once per
+  /// row.
+  size_t Sample(Pcg64& rng) const {
+    const size_t bucket =
+        static_cast<size_t>(rng.NextBounded(probability_.size()));
+    return rng.NextDouble() < probability_[bucket] ? bucket : alias_[bucket];
+  }
 
   size_t size() const { return probability_.size(); }
 

@@ -1,19 +1,7 @@
 #include "frapp/random/rng.h"
 
-#include "frapp/common/check.h"
-
 namespace frapp {
 namespace random {
-
-namespace {
-constexpr unsigned __int128 kMultiplier =
-    (static_cast<unsigned __int128>(2549297995355413924ULL) << 64) |
-    4865540595714422341ULL;
-
-uint64_t RotateRight(uint64_t value, unsigned rot) {
-  return (value >> rot) | (value << ((-rot) & 63));
-}
-}  // namespace
 
 Pcg64::Pcg64(uint64_t seed, uint64_t stream) {
   increment_ = ((static_cast<unsigned __int128>(stream) << 1) | 1u);
@@ -23,44 +11,9 @@ Pcg64::Pcg64(uint64_t seed, uint64_t stream) {
   Next();
 }
 
-uint64_t Pcg64::Next() {
-  state_ = state_ * kMultiplier + increment_;
-  // PCG-XSL-RR output function.
-  const uint64_t xored = static_cast<uint64_t>(state_ >> 64) ^
-                         static_cast<uint64_t>(state_);
-  const unsigned rot = static_cast<unsigned>(state_ >> 122);
-  return RotateRight(xored, rot);
-}
-
-double Pcg64::NextDouble() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
-
 double Pcg64::NextDouble(double lo, double hi) {
   FRAPP_CHECK_LE(lo, hi);
   return lo + (hi - lo) * NextDouble();
-}
-
-uint64_t Pcg64::NextBounded(uint64_t bound) {
-  FRAPP_CHECK_GT(bound, 0u);
-  // Lemire's multiply-shift with rejection for exact uniformity.
-  unsigned __int128 product = static_cast<unsigned __int128>(Next()) * bound;
-  uint64_t low = static_cast<uint64_t>(product);
-  if (low < bound) {
-    const uint64_t threshold = (-bound) % bound;
-    while (low < threshold) {
-      product = static_cast<unsigned __int128>(Next()) * bound;
-      low = static_cast<uint64_t>(product);
-    }
-  }
-  return static_cast<uint64_t>(product >> 64);
-}
-
-bool Pcg64::NextBernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return NextDouble() < p;
 }
 
 Pcg64 Pcg64::Split() {

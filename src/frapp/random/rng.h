@@ -10,6 +10,8 @@
 
 #include <cstdint>
 
+#include "frapp/common/check.h"
+
 namespace frapp {
 namespace random {
 
@@ -27,25 +29,58 @@ class Pcg64 {
   static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
   /// Next 64 random bits.
-  uint64_t Next();
+  uint64_t Next() {
+    state_ = state_ * kMultiplier + increment_;
+    // PCG-XSL-RR output function.
+    const uint64_t xored = static_cast<uint64_t>(state_ >> 64) ^
+                           static_cast<uint64_t>(state_);
+    const unsigned rot = static_cast<unsigned>(state_ >> 122);
+    return (xored >> rot) | (xored << ((-rot) & 63));
+  }
   result_type operator()() { return Next(); }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
-  double NextDouble();
+  double NextDouble() {
+    // 53 high bits -> [0, 1).
+    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double NextDouble(double lo, double hi);
 
   /// Uniform integer in [0, bound), bias-free (Lemire rejection).
-  uint64_t NextBounded(uint64_t bound);
+  uint64_t NextBounded(uint64_t bound) {
+    FRAPP_CHECK_GT(bound, 0u);
+    // Lemire's multiply-shift with rejection for exact uniformity.
+    unsigned __int128 product = static_cast<unsigned __int128>(Next()) * bound;
+    uint64_t low = static_cast<uint64_t>(product);
+    if (low < bound) {
+      const uint64_t threshold = (-bound) % bound;
+      while (low < threshold) {
+        product = static_cast<unsigned __int128>(Next()) * bound;
+        low = static_cast<uint64_t>(product);
+      }
+    }
+    return static_cast<uint64_t>(product >> 64);
+  }
 
   /// Bernoulli trial with success probability p.
-  bool NextBernoulli(double p);
+  bool NextBernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return NextDouble() < p;
+  }
 
   /// Derives an independent child generator (for per-worker streams).
   Pcg64 Split();
 
  private:
+  // The bulk perturbers draw several values per row, so the generator is
+  // header-inline: an out-of-line call per draw costs more than the draw.
+  static constexpr unsigned __int128 kMultiplier =
+      (static_cast<unsigned __int128>(2549297995355413924ULL) << 64) |
+      4865540595714422341ULL;
+
   unsigned __int128 state_;
   unsigned __int128 increment_;
 };

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -70,9 +69,9 @@ Status PerturbInto(core::Mechanism& mech, bool boolean_shards,
                            mech.PerturbBooleanShard(view, seed, num_threads));
     segment.boolean.push_back(data::BooleanVerticalIndex(perturbed));
   } else {
-    FRAPP_ASSIGN_OR_RETURN(const data::CategoricalTable perturbed,
-                           mech.PerturbShard(view, seed, num_threads));
-    segment.cat.push_back(mining::VerticalIndex::Build(perturbed, num_threads));
+    FRAPP_ASSIGN_OR_RETURN(mining::VerticalIndex index,
+                           mech.PerturbShardIndex(view, seed, num_threads));
+    segment.cat.push_back(std::move(index));
   }
   segment.rows += view.size();
   return Status::OK();
@@ -419,13 +418,10 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
 
   // Substrate plane arity of this schema/kind; the item offsets rebuild
   // categorical chunk indexes from raw planes.
-  std::vector<size_t> item_offsets(schema.num_attributes());
-  size_t num_items = 0;
-  for (size_t j = 0; j < schema.num_attributes(); ++j) {
-    item_offsets[j] = num_items;
-    num_items += schema.Cardinality(j);
-  }
-  const uint64_t planes = boolean ? want.num_bits : num_items;
+  const std::vector<size_t> item_offsets =
+      mining::VerticalIndex::ItemOffsets(schema);
+  const uint64_t planes =
+      boolean ? want.num_bits : schema.TotalCategories();
 
   // Everything a usable store serves without the source — expired chunks,
   // superset-fallback recounts — comes from its materialized substrate, so
@@ -724,17 +720,14 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
                    const mining::FrequentItemset& b) {
                   return a.itemset < b.itemset;
                 });
-      result.mined.by_length.push_back(frequent);
-      if (frequent.empty() || k == max_length) {
+      result.mined.by_length.push_back(std::move(frequent));
+      const std::vector<mining::FrequentItemset>& level =
+          result.mined.by_length.back();
+      if (level.empty() || k == max_length) {
         strict_open = false;
         strict_candidates.clear();
       } else {
-        std::unordered_set<mining::Itemset, mining::Itemset::Hash> lookup;
-        lookup.reserve(frequent.size() * 2);
-        for (const mining::FrequentItemset& f : frequent) {
-          lookup.insert(f.itemset);
-        }
-        strict_candidates = mining::GenerateCandidates(frequent, lookup);
+        strict_candidates = mining::GenerateCandidates(level);
       }
     } else {
       strict_open = false;
@@ -762,10 +755,7 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
     if (retained.empty() || k == max_length) {
       retained_candidates.clear();
     } else {
-      std::unordered_set<mining::Itemset, mining::Itemset::Hash> lookup;
-      lookup.reserve(retained.size() * 2);
-      for (const mining::FrequentItemset& f : retained) lookup.insert(f.itemset);
-      retained_candidates = mining::GenerateCandidates(retained, lookup);
+      retained_candidates = mining::GenerateCandidates(retained);
     }
   }
 

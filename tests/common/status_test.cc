@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace frapp {
 namespace {
 
@@ -22,6 +24,10 @@ struct FactoryCase {
   StatusCode code;
   const char* name;
 };
+
+// Prints the case by name. The default printer dumps the struct's raw bytes,
+// which hold code addresses, so test names would change from build to build.
+void PrintTo(const FactoryCase& c, std::ostream* os) { *os << c.name; }
 
 class StatusFactoryTest : public ::testing::TestWithParam<FactoryCase> {};
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "frapp/core/gamma_diagonal.h"
+#include "frapp/core/mechanism.h"
 #include "frapp/core/randomized_gamma.h"
 #include "frapp/data/domain_index.h"
 
@@ -257,6 +258,41 @@ TEST(SeededPerturbDeterminismTest, SeededPathMatchesClosedFormDistribution) {
   std::vector<double> probabilities(12, perturber.matrix().OffDiagonalValue());
   probabilities[Encode(record)] = perturber.matrix().DiagonalValue();
   EXPECT_LT(ChiSquaredGof(observed, probabilities), kChi11Critical);
+}
+
+// `m` attributes of 255 categories each: a joint domain of 255^m.
+data::CategoricalSchema WideSchema(size_t m) {
+  std::vector<data::Attribute> attributes(m);
+  for (size_t j = 0; j < m; ++j) {
+    attributes[j].name = "a" + std::to_string(j);
+    for (size_t c = 0; c < 255; ++c) {
+      attributes[j].categories.push_back(std::to_string(c));
+    }
+  }
+  return *data::CategoricalSchema::Create(std::move(attributes));
+}
+
+TEST(GammaPerturbPlanTest, RejectsJointDomainThatOverflows64Bits) {
+  // 255^8 ~ 1.8e19 fits in 64 bits; 255^9 ~ 4.6e21 does not, and the
+  // unchecked product wraps to 2570567486027860223.
+  const data::CategoricalSchema fits = WideSchema(8);
+  const data::CategoricalSchema overflows = WideSchema(9);
+  EXPECT_EQ(overflows.DomainSize(), 2570567486027860223ULL);
+
+  EXPECT_TRUE(
+      GammaPerturbPlan::Create(fits.Cardinalities(), fits.DomainSize()).ok());
+  EXPECT_TRUE(DetGdMechanism::Create(fits, 19.0).ok());
+  EXPECT_TRUE(RanGdMechanism::Create(fits, 19.0, 0.0).ok());
+
+  EXPECT_EQ(GammaPerturbPlan::Create(overflows.Cardinalities(),
+                                     overflows.DomainSize())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(DetGdMechanism::Create(overflows, 19.0).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(RanGdMechanism::Create(overflows, 19.0, 0.0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

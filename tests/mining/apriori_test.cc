@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -203,6 +205,75 @@ TEST(AprioriTest, CandidateGenerationPrunesInfrequentSubsets) {
         EXPECT_TRUE(prev.count(*Itemset::Create(subset)) > 0);
       }
     }
+  }
+}
+
+// Brute-force join + prune: every pair (a before b in list order) of
+// frequent k-itemsets sharing their first k-1 items over distinct last
+// attributes, kept when every k-subset of the union is frequent. No early
+// exit, no skipped probes, no binary search.
+std::vector<Itemset> JoinPruneOracle(
+    const std::vector<FrequentItemset>& frequent) {
+  std::set<Itemset> lookup;
+  for (const FrequentItemset& f : frequent) lookup.insert(f.itemset);
+  std::vector<Itemset> out;
+  for (size_t a = 0; a < frequent.size(); ++a) {
+    for (size_t b = a + 1; b < frequent.size(); ++b) {
+      const std::vector<Item>& ia = frequent[a].itemset.items();
+      const std::vector<Item>& ib = frequent[b].itemset.items();
+      if (!std::equal(ia.begin(), ia.end() - 1, ib.begin())) continue;
+      if (ia.back().attribute == ib.back().attribute) continue;
+      std::vector<Item> joined = ia;
+      joined.push_back(ib.back());
+      const Itemset candidate = *Itemset::Create(joined);
+      bool all_frequent = true;
+      for (size_t skip = 0; skip < candidate.size(); ++skip) {
+        std::vector<Item> subset;
+        for (size_t i = 0; i < candidate.size(); ++i) {
+          if (i != skip) subset.push_back(candidate.item(i));
+        }
+        all_frequent = all_frequent && lookup.count(*Itemset::Create(subset)) > 0;
+      }
+      if (all_frequent) out.push_back(candidate);
+    }
+  }
+  return out;
+}
+
+TEST(AprioriTest, CandidateGenerationMatchesJoinPruneOracleOnRandomLattices) {
+  random::Pcg64 rng(99);
+  for (int trial = 0; trial < 80; ++trial) {
+    // 3-6 attributes of 2-4 categories; a random share of the k-itemsets,
+    // k = 1..4, stands in for the frequent level.
+    const size_t m = 3 + rng.NextBounded(4);
+    std::vector<size_t> cards(m);
+    for (size_t& card : cards) card = 2 + rng.NextBounded(3);
+    const size_t k = 1 + rng.NextBounded(std::min<size_t>(4, m));
+    const double keep = 0.4 + 0.55 * rng.NextDouble();
+    size_t codes = 1;
+    for (size_t card : cards) codes *= card + 1;
+    std::vector<FrequentItemset> frequent;
+    for (size_t code = 0; code < codes; ++code) {
+      size_t rest = code;
+      std::vector<Item> items;
+      for (size_t j = 0; j < m; ++j) {
+        const size_t pick = rest % (cards[j] + 1);
+        rest /= cards[j] + 1;
+        if (pick > 0) {
+          items.push_back(Item{static_cast<uint16_t>(j),
+                               static_cast<uint16_t>(pick - 1)});
+        }
+      }
+      if (items.size() == k && rng.NextDouble() < keep) {
+        frequent.push_back({*Itemset::Create(items), 0.5});
+      }
+    }
+    std::sort(frequent.begin(), frequent.end(),
+              [](const FrequentItemset& a, const FrequentItemset& b) {
+                return a.itemset < b.itemset;
+              });
+    SCOPED_TRACE("trial " + std::to_string(trial) + " k " + std::to_string(k));
+    EXPECT_EQ(GenerateCandidates(frequent), JoinPruneOracle(frequent));
   }
 }
 

@@ -180,23 +180,28 @@ TEST_F(PrivacyPipelineTest, EveryMechanismReportsShardStreaming) {
 }
 
 TEST_F(PrivacyPipelineTest, StreamingBoundsPeakMemoryToOneShardPerWorker) {
-  const size_t bytes_per_row = table_->num_attributes();
+  // Categorical shards are perturbed straight into bitmap planes: one
+  // uint64_t per 64 rows per item.
+  const auto index_bytes = [](size_t rows) {
+    return table_->schema().TotalCategories() * ((rows + 63) / 64) *
+           sizeof(uint64_t);
+  };
   auto mechanism = *core::DetGdMechanism::Create(table_->schema(), kGamma);
   const PipelineResult serial =
       *PrivacyPipeline(Options(7, 1)).Run(*mechanism, *table_);
   EXPECT_EQ(serial.stats.num_shards, 7u);
-  // One worker -> exactly one shard of perturbed rows alive at a time.
+  // One worker -> exactly one shard's planes in flight at a time.
   EXPECT_EQ(serial.stats.peak_inflight_perturbed_bytes,
-            serial.stats.max_shard_rows * bytes_per_row);
+            index_bytes(serial.stats.max_shard_rows));
   EXPECT_LT(serial.stats.peak_inflight_perturbed_bytes,
-            table_->num_rows() * bytes_per_row);
+            index_bytes(table_->num_rows()));
 
   auto parallel_mechanism = *core::DetGdMechanism::Create(table_->schema(), kGamma);
   const PipelineResult parallel =
       *PrivacyPipeline(Options(7, 4)).Run(*parallel_mechanism, *table_);
   // Four workers -> at most four shards in flight.
   EXPECT_LE(parallel.stats.peak_inflight_perturbed_bytes,
-            4 * parallel.stats.max_shard_rows * bytes_per_row);
+            4 * index_bytes(parallel.stats.max_shard_rows));
 }
 
 TEST_F(PrivacyPipelineTest, BooleanStreamingBoundsPeakMemoryToOneShardPerWorker) {

@@ -19,6 +19,7 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -122,6 +123,10 @@ struct MechanismCase {
   const char* name;
   dist::MechanismSpec::Kind kind;
 };
+
+// Prints the case by name. The default printer dumps the struct's raw bytes,
+// which hold a string address, so test names would change from build to build.
+void PrintTo(const MechanismCase& c, std::ostream* os) { *os << c.name; }
 
 class BrokerMechanismTest : public ServeTest,
                             public ::testing::WithParamInterface<MechanismCase> {
