@@ -2,7 +2,9 @@
 // privacy-preserving DET-GD pipeline (perturb + mine with reconstruction)
 // on CENSUS-scale data. Every *Scalar variant is the pre-vertical-index /
 // pre-alias-kernel implementation, kept as an in-run baseline so speedups
-// are measured on the same machine and dataset.
+// are measured on the same machine and dataset. BM_DetGdPipeline runs the
+// one-shard seeded-chunk PrivacyPipeline; its scalar baseline perturbs in
+// row order on one RNG stream and scans rows per candidate.
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +16,7 @@
 #include "frapp/data/census.h"
 #include "frapp/mining/apriori.h"
 #include "frapp/mining/support_counter.h"
+#include "frapp/pipeline/privacy_pipeline.h"
 
 namespace {
 
@@ -30,6 +33,27 @@ class ScalarExactEstimator : public mining::SupportEstimator {
 
  private:
   const data::CategoricalTable& table_;
+};
+
+// The pre-vertical-index DET-GD estimator: a row scan of the perturbed
+// table per candidate, then the Eq. 28 closed-form inverse.
+class ScalarGammaEstimator : public mining::SupportEstimator {
+ public:
+  ScalarGammaEstimator(const data::CategoricalTable& perturbed,
+                       const core::GammaSubsetReconstructor& reconstructor)
+      : perturbed_(perturbed), reconstructor_(reconstructor) {}
+  StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override {
+    uint64_t subset_domain = 1;
+    for (const mining::Item& item : itemset.items()) {
+      subset_domain *= perturbed_.schema().Cardinality(item.attribute);
+    }
+    return reconstructor_.ReconstructSupport(
+        mining::SupportFraction(perturbed_, itemset), subset_domain);
+  }
+
+ private:
+  const data::CategoricalTable& perturbed_;
+  const core::GammaSubsetReconstructor& reconstructor_;
 };
 
 // The pre-alias-kernel perturbation loop: per-row temporaries, per-column
@@ -83,14 +107,13 @@ BENCHMARK(BM_ExactAprioriScalar)->Arg(10000)->Arg(50000)->Unit(benchmark::kMilli
 void BM_DetGdPipeline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const data::CategoricalTable table = *data::census::MakeDataset(n, 10);
-  mining::AprioriOptions options;
-  options.min_support = 0.02;
+  pipeline::PipelineOptions options;
+  options.mining.min_support = 0.02;
+  options.perturb_seed = 11;
   for (auto _ : state) {
     auto mechanism = *core::DetGdMechanism::Create(table.schema(), 19.0);
-    random::Pcg64 rng(11);
-    (void)mechanism->Prepare(table, rng);
-    benchmark::DoNotOptimize(mining::MineFrequentItemsets(
-        table.schema(), mechanism->estimator(), options));
+    benchmark::DoNotOptimize(
+        pipeline::PrivacyPipeline(options).Run(*mechanism, table));
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
@@ -108,8 +131,7 @@ void BM_DetGdPipelineScalar(benchmark::State& state) {
   for (auto _ : state) {
     random::Pcg64 rng(11);
     const data::CategoricalTable perturbed = ScalarGammaPerturb(table, matrix, rng);
-    core::GammaSupportEstimator estimator(table.schema(), reconstructor, perturbed,
-                                          /*use_vertical_index=*/false);
+    ScalarGammaEstimator estimator(perturbed, reconstructor);
     benchmark::DoNotOptimize(
         mining::MineFrequentItemsets(table.schema(), estimator, options));
   }

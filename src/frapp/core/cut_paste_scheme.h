@@ -28,7 +28,6 @@
 #include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/pattern_count_source.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
 #include "frapp/linalg/lu.h"
 #include "frapp/linalg/matrix.h"
 #include "frapp/mining/apriori.h"
@@ -135,23 +134,6 @@ class CutPasteSupportEstimator : public mining::SupportEstimator {
   CutPasteSupportEstimator(const CutPasteScheme& scheme, data::BooleanLayout layout,
                            std::shared_ptr<data::PatternCountSource> source)
       : scheme_(scheme), layout_(std::move(layout)), source_(std::move(source)) {}
-
-  /// Owns the (possibly multi-shard) index; `num_threads` parallelizes each
-  /// histogram pass (never affects results).
-  CutPasteSupportEstimator(const CutPasteScheme& scheme, data::BooleanLayout layout,
-                           data::ShardedBooleanVerticalIndex index,
-                           size_t num_threads = 1)
-      : CutPasteSupportEstimator(scheme, std::move(layout),
-                                 std::make_shared<data::LocalPatternCountSource>(
-                                     std::move(index), num_threads)) {}
-
-  /// Convenience for the monolithic Prepare() path: one shard over
-  /// `perturbed` (the rows are not retained).
-  CutPasteSupportEstimator(const CutPasteScheme& scheme, data::BooleanLayout layout,
-                           const data::BooleanTable& perturbed)
-      : CutPasteSupportEstimator(scheme, std::move(layout),
-                                 data::ShardedBooleanVerticalIndex::Build(
-                                     perturbed, /*num_shards=*/1)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 

@@ -59,5 +59,15 @@ StatusOr<FrappDesign> DesignMechanism(const data::CategoricalSchema& schema,
   return design;
 }
 
+StatusOr<data::CategoricalTable> FrappDesign::Perturb(
+    const data::CategoricalTable& original, random::Pcg64& rng) const {
+  if (alpha == 0.0) {
+    return static_cast<const DetGdMechanism&>(*mechanism).perturber().Perturb(
+        original, rng);
+  }
+  return static_cast<const RanGdMechanism&>(*mechanism).perturber().Perturb(
+      original, rng);
+}
+
 }  // namespace core
 }  // namespace frapp

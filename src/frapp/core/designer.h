@@ -48,8 +48,14 @@ struct FrappDesign {
   /// fields coincide at rho2; for RAN-GD they bracket it.
   PosteriorRange posterior;
 
-  /// The ready-to-Prepare mechanism (DetGdMechanism or RanGdMechanism).
+  /// The designed mechanism: DetGdMechanism when alpha == 0, else
+  /// RanGdMechanism.
   std::unique_ptr<Mechanism> mechanism;
+
+  /// Perturbs `original` once with the mechanism's own perturber, in row
+  /// order on `rng`: the sequential client batch of `frapp perturb`.
+  StatusOr<data::CategoricalTable> Perturb(
+      const data::CategoricalTable& original, random::Pcg64& rng) const;
 
   /// Multi-line human-readable description of the design.
   std::string Summary() const;

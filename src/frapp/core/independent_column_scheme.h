@@ -27,7 +27,6 @@
 #include "frapp/linalg/matrix.h"
 #include "frapp/mining/apriori.h"
 #include "frapp/mining/count_source.h"
-#include "frapp/mining/sharded_vertical_index.h"
 #include "frapp/mining/vertical_index.h"
 #include "frapp/random/rng.h"
 
@@ -130,23 +129,6 @@ class IndependentColumnSupportEstimator : public mining::SupportEstimator {
       const IndependentColumnScheme& scheme,
       std::shared_ptr<mining::SupportCountSource> source)
       : scheme_(scheme), source_(std::move(source)) {}
-
-  /// Owns the (possibly multi-shard) index; `num_threads` parallelizes each
-  /// counting pass.
-  IndependentColumnSupportEstimator(const IndependentColumnScheme& scheme,
-                                    mining::ShardedVerticalIndex index,
-                                    size_t num_threads = 1)
-      : IndependentColumnSupportEstimator(
-            scheme, std::make_shared<mining::LocalSupportCountSource>(
-                        std::move(index), num_threads)) {}
-
-  /// Convenience for the monolithic Prepare() path: one shard over
-  /// `perturbed` (the rows are not retained).
-  IndependentColumnSupportEstimator(const IndependentColumnScheme& scheme,
-                                    const data::CategoricalTable& perturbed)
-      : IndependentColumnSupportEstimator(
-            scheme, mining::ShardedVerticalIndex::Build(perturbed,
-                                                        /*num_shards=*/1)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 

@@ -24,7 +24,6 @@
 #include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/pattern_count_source.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
 #include "frapp/mining/apriori.h"
 #include "frapp/random/rng.h"
 
@@ -107,23 +106,6 @@ class MaskSupportEstimator : public mining::SupportEstimator {
   MaskSupportEstimator(const MaskScheme& scheme, data::BooleanLayout layout,
                        std::shared_ptr<data::PatternCountSource> source)
       : scheme_(scheme), layout_(std::move(layout)), source_(std::move(source)) {}
-
-  /// Owns the (possibly multi-shard) index; `num_threads` parallelizes each
-  /// pattern-counting pass (never affects results).
-  MaskSupportEstimator(const MaskScheme& scheme, data::BooleanLayout layout,
-                       data::ShardedBooleanVerticalIndex index,
-                       size_t num_threads = 1)
-      : MaskSupportEstimator(scheme, std::move(layout),
-                             std::make_shared<data::LocalPatternCountSource>(
-                                 std::move(index), num_threads)) {}
-
-  /// Convenience for the monolithic Prepare() path: one shard over
-  /// `perturbed` (the rows are not retained).
-  MaskSupportEstimator(const MaskScheme& scheme, data::BooleanLayout layout,
-                       const data::BooleanTable& perturbed)
-      : MaskSupportEstimator(scheme, std::move(layout),
-                             data::ShardedBooleanVerticalIndex::Build(
-                                 perturbed, /*num_shards=*/1)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 

@@ -1,9 +1,10 @@
 #include "frapp/core/mechanism.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <limits>
-
-#include "frapp/mining/support_counter.h"
+#include <utility>
 
 namespace frapp {
 namespace core {
@@ -18,6 +19,20 @@ uint64_t SubsetDomainSize(const data::CategoricalSchema& schema,
     size *= static_cast<uint64_t>(schema.Cardinality(item.attribute));
   }
   return size;
+}
+
+// One-hot encodes a boolean mechanism's shard and perturbs its bits with
+// `scheme` (MaskScheme or CutPasteScheme) under the seeded-chunk contract.
+template <typename Scheme>
+StatusOr<data::BooleanTable> PerturbOneHotShard(const Scheme& scheme,
+                                                const data::ShardView& shard,
+                                                uint64_t seed,
+                                                size_t num_threads) {
+  FRAPP_ASSIGN_OR_RETURN(
+      data::BooleanTable onehot,
+      data::BooleanTable::FromCategoricalRange(*shard.rows, shard.local));
+  return scheme.PerturbShardSeeded(onehot, shard.global_begin, seed,
+                                   num_threads);
 }
 
 }  // namespace
@@ -38,22 +53,6 @@ StatusOr<data::BooleanTable> Mechanism::PerturbBooleanShard(
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
-Mechanism::MakeShardedEstimator(mining::ShardedVerticalIndex index,
-                                size_t num_threads) {
-  return MakeCountSourceEstimator(
-      std::make_shared<mining::LocalSupportCountSource>(std::move(index),
-                                                        num_threads));
-}
-
-StatusOr<std::unique_ptr<mining::SupportEstimator>>
-Mechanism::MakeShardedBooleanEstimator(data::ShardedBooleanVerticalIndex index,
-                                       size_t num_threads) {
-  return MakeBooleanCountSourceEstimator(
-      std::make_shared<data::LocalPatternCountSource>(std::move(index),
-                                                      num_threads));
-}
-
-StatusOr<std::unique_ptr<mining::SupportEstimator>>
 Mechanism::MakeCountSourceEstimator(
     std::shared_ptr<mining::SupportCountSource>) {
   return Status::Unimplemented(
@@ -67,32 +66,57 @@ Mechanism::MakeBooleanCountSourceEstimator(
       name() + " does not reconstruct from boolean pattern-count vectors");
 }
 
+void ShardIndexes::Append(ShardIndexes&& other) {
+  std::move(other.categorical.begin(), other.categorical.end(),
+            std::back_inserter(categorical));
+  std::move(other.boolean.begin(), other.boolean.end(),
+            std::back_inserter(boolean));
+  num_rows += other.num_rows;
+}
+
+size_t ShardIndexes::MemoryBytes() const {
+  size_t bytes = sizeof(ShardIndexes);
+  for (const mining::VerticalIndex& shard : categorical) {
+    bytes += sizeof(shard) + shard.MemoryBytes();
+  }
+  for (const data::BooleanVerticalIndex& shard : boolean) {
+    bytes += sizeof(shard) + shard.MemoryBytes();
+  }
+  return bytes;
+}
+
+Status PerturbIntoIndex(Mechanism& mechanism, const data::ShardView& shard,
+                        uint64_t seed, size_t num_threads, ShardIndexes& out) {
+  if (shard.size() == 0) return Status::OK();
+  if (mechanism.shard_kind() == Mechanism::ShardKind::kBoolean) {
+    FRAPP_ASSIGN_OR_RETURN(
+        const data::BooleanTable perturbed,
+        mechanism.PerturbBooleanShard(shard, seed, num_threads));
+    out.boolean.emplace_back(perturbed);
+  } else {
+    FRAPP_ASSIGN_OR_RETURN(
+        mining::VerticalIndex index,
+        mechanism.PerturbShardIndex(shard, seed, num_threads));
+    out.categorical.push_back(std::move(index));
+  }
+  out.num_rows += shard.size();
+  return Status::OK();
+}
+
 StatusOr<double> GammaSupportEstimator::EstimateSupport(
     const mining::Itemset& itemset) {
-  if (source_ == nullptr) {
-    return reconstructor_.ReconstructSupport(
-        mining::SupportFraction(*perturbed_, itemset),
-        SubsetDomainSize(schema_, itemset));
-  }
-  FRAPP_ASSIGN_OR_RETURN(
-      const std::vector<uint64_t> counts,
-      source_->CountSupports(std::vector<mining::Itemset>{itemset}));
-  const double n = static_cast<double>(source_->num_rows());
-  const double fraction = n == 0.0 ? 0.0 : static_cast<double>(counts[0]) / n;
-  return reconstructor_.ReconstructSupport(fraction,
-                                           SubsetDomainSize(schema_, itemset));
+  FRAPP_ASSIGN_OR_RETURN(const std::vector<double> supports,
+                         EstimateSupports({itemset}));
+  return supports[0];
 }
 
 StatusOr<std::vector<double>> GammaSupportEstimator::EstimateSupports(
     const std::vector<mining::Itemset>& itemsets) {
-  if (source_ == nullptr) {
-    return mining::SupportEstimator::EstimateSupports(itemsets);
-  }
   // Whole-pass counting over the source (shard-parallel locally, fanned out
   // and merged remotely), then the per-candidate closed-form inverse (cheap
   // scalar math) on the TOTAL fraction — one division and one inverse per
   // candidate regardless of where the counts came from, so results match
-  // the monolithic path bit for bit.
+  // bit for bit across placements.
   FRAPP_ASSIGN_OR_RETURN(const std::vector<uint64_t> counts,
                          source_->CountSupports(itemsets));
   const double n = static_cast<double>(source_->num_rows());
@@ -116,21 +140,6 @@ StatusOr<std::unique_ptr<DetGdMechanism>> DetGdMechanism::Create(
                          GammaSubsetReconstructor::Create(gamma, schema.DomainSize()));
   return std::unique_ptr<DetGdMechanism>(new DetGdMechanism(
       schema, gamma, std::move(perturber), std::move(reconstructor)));
-}
-
-Status DetGdMechanism::Prepare(const data::CategoricalTable& original,
-                               random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable perturbed,
-                         perturber_.Perturb(original, rng));
-  perturbed_ = std::move(perturbed);
-  estimator_ = std::make_unique<GammaSupportEstimator>(schema_, reconstructor_,
-                                                       *perturbed_);
-  return Status::OK();
-}
-
-mining::SupportEstimator& DetGdMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> DetGdMechanism::ConditionNumberForLength(size_t) const {
@@ -167,21 +176,6 @@ StatusOr<std::unique_ptr<RanGdMechanism>> RanGdMechanism::Create(
                          GammaSubsetReconstructor::Create(gamma, schema.DomainSize()));
   return std::unique_ptr<RanGdMechanism>(new RanGdMechanism(
       schema, gamma, std::move(perturber), std::move(reconstructor)));
-}
-
-Status RanGdMechanism::Prepare(const data::CategoricalTable& original,
-                               random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable perturbed,
-                         perturber_.Perturb(original, rng));
-  perturbed_ = std::move(perturbed);
-  estimator_ = std::make_unique<GammaSupportEstimator>(schema_, reconstructor_,
-                                                       *perturbed_);
-  return Status::OK();
-}
-
-mining::SupportEstimator& RanGdMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> RanGdMechanism::ConditionNumberForLength(size_t) const {
@@ -228,25 +222,9 @@ StatusOr<std::unique_ptr<MaskMechanism>> MaskMechanism::Create(
   return std::unique_ptr<MaskMechanism>(new MaskMechanism(schema, scheme));
 }
 
-Status MaskMechanism::Prepare(const data::CategoricalTable& original,
-                              random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable onehot,
-                         data::BooleanTable::FromCategorical(original));
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable perturbed, scheme_.Perturb(onehot, rng));
-  // The estimator's index is self-contained; the perturbed rows are not
-  // retained.
-  estimator_ =
-      std::make_unique<MaskSupportEstimator>(scheme_, layout_, perturbed);
-  return Status::OK();
-}
-
 StatusOr<data::BooleanTable> MaskMechanism::PerturbBooleanShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
-  FRAPP_ASSIGN_OR_RETURN(
-      data::BooleanTable onehot,
-      data::BooleanTable::FromCategoricalRange(*shard.rows, shard.local));
-  return scheme_.PerturbShardSeeded(onehot, shard.global_begin, seed,
-                                    num_threads);
+  return PerturbOneHotShard(scheme_, shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
@@ -255,11 +233,6 @@ MaskMechanism::MakeBooleanCountSourceEstimator(
   return std::unique_ptr<mining::SupportEstimator>(
       std::make_unique<MaskSupportEstimator>(scheme_, layout_,
                                              std::move(source)));
-}
-
-mining::SupportEstimator& MaskMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> MaskMechanism::ConditionNumberForLength(size_t length) const {
@@ -284,23 +257,9 @@ StatusOr<std::unique_ptr<CutPasteMechanism>> CutPasteMechanism::Create(
       new CutPasteMechanism(schema, std::move(scheme)));
 }
 
-Status CutPasteMechanism::Prepare(const data::CategoricalTable& original,
-                                  random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable onehot,
-                         data::BooleanTable::FromCategorical(original));
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable perturbed, scheme_.Perturb(onehot, rng));
-  estimator_ =
-      std::make_unique<CutPasteSupportEstimator>(scheme_, layout_, perturbed);
-  return Status::OK();
-}
-
 StatusOr<data::BooleanTable> CutPasteMechanism::PerturbBooleanShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
-  FRAPP_ASSIGN_OR_RETURN(
-      data::BooleanTable onehot,
-      data::BooleanTable::FromCategoricalRange(*shard.rows, shard.local));
-  return scheme_.PerturbShardSeeded(onehot, shard.global_begin, seed,
-                                    num_threads);
+  return PerturbOneHotShard(scheme_, shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
@@ -309,11 +268,6 @@ CutPasteMechanism::MakeBooleanCountSourceEstimator(
   return std::unique_ptr<mining::SupportEstimator>(
       std::make_unique<CutPasteSupportEstimator>(scheme_, layout_,
                                                  std::move(source)));
-}
-
-mining::SupportEstimator& CutPasteMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> CutPasteMechanism::ConditionNumberForLength(size_t length) const {
@@ -335,15 +289,6 @@ IndependentColumnMechanism::Create(const data::CategoricalSchema& schema,
       new IndependentColumnMechanism(schema, std::move(scheme)));
 }
 
-Status IndependentColumnMechanism::Prepare(const data::CategoricalTable& original,
-                                           random::Pcg64& rng) {
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable perturbed,
-                         scheme_.Perturb(original, rng));
-  estimator_ =
-      std::make_unique<IndependentColumnSupportEstimator>(scheme_, perturbed);
-  return Status::OK();
-}
-
 StatusOr<data::CategoricalTable> IndependentColumnMechanism::PerturbShard(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   return scheme_.PerturbShardSeeded(shard, seed, num_threads);
@@ -360,11 +305,6 @@ IndependentColumnMechanism::MakeCountSourceEstimator(
   return std::unique_ptr<mining::SupportEstimator>(
       std::make_unique<IndependentColumnSupportEstimator>(scheme_,
                                                           std::move(source)));
-}
-
-mining::SupportEstimator& IndependentColumnMechanism::estimator() {
-  FRAPP_CHECK(estimator_ != nullptr) << "Prepare() must run first";
-  return *estimator_;
 }
 
 StatusOr<double> IndependentColumnMechanism::ConditionNumberForLength(

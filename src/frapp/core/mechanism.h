@@ -1,15 +1,15 @@
 // Unified mechanism layer: one object per perturbation technique bundling
-// (a) client-side perturbation of a categorical database and (b) the
-// miner-side reconstructing support estimator that plugs into Apriori.
-// This is the layer the paper's Section 7 experiments exercise with
-// DET-GD, RAN-GD, MASK and C&P.
+// (a) the client side, which perturbs a row shard into its index, and (b)
+// the miner side, a reconstructing support estimator over count totals that
+// plugs into Apriori. This is the layer the paper's Section 7 experiments
+// exercise with DET-GD, RAN-GD, MASK and C&P.
 
 #ifndef FRAPP_CORE_MECHANISM_H_
 #define FRAPP_CORE_MECHANISM_H_
 
 #include <memory>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "frapp/common/statusor.h"
 #include "frapp/core/cut_paste_scheme.h"
@@ -19,14 +19,13 @@
 #include "frapp/core/randomized_gamma.h"
 #include "frapp/core/subset_reconstruction.h"
 #include "frapp/data/boolean_view.h"
+#include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/pattern_count_source.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
 #include "frapp/mining/apriori.h"
 #include "frapp/mining/count_source.h"
-#include "frapp/mining/sharded_vertical_index.h"
-#include "frapp/random/rng.h"
+#include "frapp/mining/vertical_index.h"
 
 namespace frapp {
 namespace core {
@@ -39,14 +38,6 @@ class Mechanism {
   /// Display name ("DET-GD", "RAN-GD", "MASK", "C&P", ...).
   virtual std::string name() const = 0;
 
-  /// Perturbs `original` (client side) and prepares the reconstructing
-  /// estimator (miner side). Must be called before estimator().
-  virtual Status Prepare(const data::CategoricalTable& original,
-                         random::Pcg64& rng) = 0;
-
-  /// The reconstructing support oracle; valid after a successful Prepare.
-  virtual mining::SupportEstimator& estimator() = 0;
-
   /// Condition number of the reconstruction matrix used for itemsets of
   /// length k (Figure 4's quantity). Mechanisms whose per-subset matrices
   /// differ report a representative (geometric mean over subsets).
@@ -55,28 +46,23 @@ class Mechanism {
   /// Record-level amplification actually delivered (<= the configured gamma).
   virtual double Amplification() const = 0;
 
-  // --- Shard streaming (the frapp/pipeline contract) ----------------------
+  // --- One client path, one miner path -----------------------------------
   //
   // FRAPP's perturbation is per-record and every reconstruction input is a
-  // row-partitionable count, so ALL mechanisms stream chunk-aligned row
-  // shards through perturb -> index -> count with bit-identical results to
-  // the monolithic seeded pass. A mechanism declares which perturbed
-  // representation it streams: categorical shards perturbed straight into
-  // mining::VerticalIndex bitmap planes (DET-GD, RAN-GD, IND-GD) or one-hot
-  // boolean rows indexed by data::BooleanVerticalIndex (MASK, C&P). The
-  // engines call PerturbShardIndex/PerturbBooleanShard and the matching
-  // MakeSharded*Estimator; there is no monolithic fallback.
+  // row-partitionable count. So every mechanism has one client path, which
+  // perturbs a chunk-aligned row shard into its index (PerturbIntoIndex
+  // below), and one miner path, which reconstructs from total count vectors
+  // (Make(Boolean)CountSourceEstimator), wherever the counts were summed. A
+  // mechanism declares which index it builds: categorical shards perturb
+  // straight into mining::VerticalIndex bitmap planes (DET-GD, RAN-GD,
+  // IND-GD); one-hot boolean rows are indexed by data::BooleanVerticalIndex
+  // (MASK, C&P). The sequential Perturb(table, rng) forms of the perturbers
+  // and schemes remain as statistical oracles for tests and ablation benches.
 
-  /// Representation of a perturbed shard in the streaming pipeline.
+  /// Representation of a perturbed shard.
   enum class ShardKind { kCategorical, kBoolean };
 
-  /// True when the matching PerturbShard*/MakeSharded*Estimator pair is
-  /// implemented. Every mechanism in this library streams; the default
-  /// remains false so out-of-tree mechanisms fail loudly in the pipeline
-  /// rather than silently mis-streaming.
-  virtual bool SupportsShardStreaming() const { return false; }
-
-  /// Which representation the pipeline should stream for this mechanism.
+  /// Which index this mechanism's shards perturb into.
   virtual ShardKind shard_kind() const { return ShardKind::kCategorical; }
 
   /// Client side of one categorical shard: perturbs the rows of `shard`
@@ -100,27 +86,13 @@ class Mechanism {
   virtual StatusOr<data::BooleanTable> PerturbBooleanShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads);
 
-  /// Miner side over the merged per-shard indexes of the perturbed
-  /// categorical shards; `num_threads` parallelizes each candidate-counting
-  /// pass. The default wraps the index in a LocalSupportCountSource and
-  /// delegates to MakeCountSourceEstimator — counting locality is not the
-  /// mechanism's concern.
-  virtual StatusOr<std::unique_ptr<mining::SupportEstimator>>
-  MakeShardedEstimator(mining::ShardedVerticalIndex index, size_t num_threads);
-
-  /// Miner side over the merged per-shard boolean indexes of the perturbed
-  /// boolean shards. Default delegates to MakeBooleanCountSourceEstimator
-  /// over a LocalPatternCountSource.
-  virtual StatusOr<std::unique_ptr<mining::SupportEstimator>>
-  MakeShardedBooleanEstimator(data::ShardedBooleanVerticalIndex index,
-                              size_t num_threads);
-
   /// Miner side over an ABSTRACT count source: the mechanism's
   /// reconstruction fed by total integer count vectors, wherever they come
-  /// from — a local sharded index or a frapp/dist coordinator merging
-  /// per-worker vectors. Because reconstruction consumes only the totals,
-  /// the result is bit-identical across those placements. Only for
-  /// shard_kind() == kCategorical.
+  /// from — a mining::LocalSupportCountSource over the perturbed shards'
+  /// indexes, a count store, or a frapp/dist coordinator merging per-worker
+  /// vectors. Because reconstruction consumes only the totals, the result
+  /// is bit-identical across those placements. Only for shard_kind() ==
+  /// kCategorical.
   virtual StatusOr<std::unique_ptr<mining::SupportEstimator>>
   MakeCountSourceEstimator(std::shared_ptr<mining::SupportCountSource> source);
 
@@ -138,13 +110,9 @@ class DetGdMechanism : public Mechanism {
       const data::CategoricalSchema& schema, double gamma);
 
   std::string name() const override { return "DET-GD"; }
-  Status Prepare(const data::CategoricalTable& original,
-                 random::Pcg64& rng) override;
-  mining::SupportEstimator& estimator() override;
   StatusOr<double> ConditionNumberForLength(size_t length) const override;
   double Amplification() const override { return gamma_; }
 
-  bool SupportsShardStreaming() const override { return true; }
   StatusOr<data::CategoricalTable> PerturbShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<mining::VerticalIndex> PerturbShardIndex(
@@ -152,8 +120,7 @@ class DetGdMechanism : public Mechanism {
   StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
       std::shared_ptr<mining::SupportCountSource> source) override;
 
-  /// The perturbed database (valid after Prepare; exposed for examples).
-  const data::CategoricalTable& perturbed() const { return *perturbed_; }
+  const GammaDiagonalPerturber& perturber() const { return perturber_; }
 
  private:
   DetGdMechanism(data::CategoricalSchema schema, double gamma,
@@ -167,8 +134,6 @@ class DetGdMechanism : public Mechanism {
   double gamma_;
   GammaDiagonalPerturber perturber_;
   GammaSubsetReconstructor reconstructor_;
-  std::optional<data::CategoricalTable> perturbed_;
-  std::unique_ptr<mining::SupportEstimator> estimator_;
 };
 
 /// RAN-GD: randomized gamma-diagonal matrix (paper Section 4). Identical
@@ -180,13 +145,9 @@ class RanGdMechanism : public Mechanism {
       random::RandomizationKind kind = random::RandomizationKind::kUniform);
 
   std::string name() const override { return "RAN-GD"; }
-  Status Prepare(const data::CategoricalTable& original,
-                 random::Pcg64& rng) override;
-  mining::SupportEstimator& estimator() override;
   StatusOr<double> ConditionNumberForLength(size_t length) const override;
   double Amplification() const override;
 
-  bool SupportsShardStreaming() const override { return true; }
   StatusOr<data::CategoricalTable> PerturbShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<mining::VerticalIndex> PerturbShardIndex(
@@ -208,8 +169,6 @@ class RanGdMechanism : public Mechanism {
   double gamma_;
   RandomizedGammaPerturber perturber_;
   GammaSubsetReconstructor reconstructor_;
-  std::optional<data::CategoricalTable> perturbed_;
-  std::unique_ptr<mining::SupportEstimator> estimator_;
 };
 
 /// MASK baseline (paper Section 7): boolean bit-flips + tensor inversion.
@@ -220,13 +179,9 @@ class MaskMechanism : public Mechanism {
       const data::CategoricalSchema& schema, double gamma);
 
   std::string name() const override { return "MASK"; }
-  Status Prepare(const data::CategoricalTable& original,
-                 random::Pcg64& rng) override;
-  mining::SupportEstimator& estimator() override;
   StatusOr<double> ConditionNumberForLength(size_t length) const override;
   double Amplification() const override;
 
-  bool SupportsShardStreaming() const override { return true; }
   ShardKind shard_kind() const override { return ShardKind::kBoolean; }
   StatusOr<data::BooleanTable> PerturbBooleanShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
@@ -245,7 +200,6 @@ class MaskMechanism : public Mechanism {
   data::CategoricalSchema schema_;
   MaskScheme scheme_;
   data::BooleanLayout layout_;
-  std::unique_ptr<mining::SupportEstimator> estimator_;
 };
 
 /// Cut-and-Paste baseline (paper Section 7: K = 3, rho = 0.494).
@@ -255,13 +209,9 @@ class CutPasteMechanism : public Mechanism {
       const data::CategoricalSchema& schema, size_t cutoff_k, double rho);
 
   std::string name() const override { return "C&P"; }
-  Status Prepare(const data::CategoricalTable& original,
-                 random::Pcg64& rng) override;
-  mining::SupportEstimator& estimator() override;
   StatusOr<double> ConditionNumberForLength(size_t length) const override;
   double Amplification() const override;
 
-  bool SupportsShardStreaming() const override { return true; }
   ShardKind shard_kind() const override { return ShardKind::kBoolean; }
   StatusOr<data::BooleanTable> PerturbBooleanShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
@@ -280,7 +230,6 @@ class CutPasteMechanism : public Mechanism {
   data::CategoricalSchema schema_;
   CutPasteScheme scheme_;
   data::BooleanLayout layout_;
-  std::unique_ptr<mining::SupportEstimator> estimator_;
 };
 
 /// Independent-column gamma ablation (see independent_column_scheme.h).
@@ -290,13 +239,9 @@ class IndependentColumnMechanism : public Mechanism {
       const data::CategoricalSchema& schema, double gamma);
 
   std::string name() const override { return "IND-GD"; }
-  Status Prepare(const data::CategoricalTable& original,
-                 random::Pcg64& rng) override;
-  mining::SupportEstimator& estimator() override;
   StatusOr<double> ConditionNumberForLength(size_t length) const override;
   double Amplification() const override;
 
-  bool SupportsShardStreaming() const override { return true; }
   StatusOr<data::CategoricalTable> PerturbShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<mining::VerticalIndex> PerturbShardIndex(
@@ -311,47 +256,17 @@ class IndependentColumnMechanism : public Mechanism {
 
   data::CategoricalSchema schema_;
   IndependentColumnScheme scheme_;
-  std::unique_ptr<mining::SupportEstimator> estimator_;
 };
 
 /// Support oracle shared by DET-GD and RAN-GD: counts the candidate's
 /// support in the perturbed categorical database and applies the Eq. 28
 /// closed-form inverse. Counting runs over an abstract SupportCountSource
-/// (local sharded bitmap index, or a frapp/dist coordinator's merged remote
-/// vectors); the inverse needs only the TOTAL perturbed count, so the
-/// reconstructed supports are bit-identical for every shard, thread and
-/// worker count. `use_vertical_index = false` keeps the scalar row scan, as
-/// a benchmark baseline.
+/// (local sharded bitmap index, count store, or a frapp/dist coordinator's
+/// merged remote vectors); the inverse needs only the TOTAL perturbed
+/// count, so the reconstructed supports are bit-identical for every shard,
+/// thread and worker count.
 class GammaSupportEstimator : public mining::SupportEstimator {
  public:
-  /// Monolithic construction: builds a one-shard index over `perturbed`
-  /// (which must outlive the estimator).
-  GammaSupportEstimator(const data::CategoricalSchema& schema,
-                        GammaSubsetReconstructor reconstructor,
-                        const data::CategoricalTable& perturbed,
-                        bool use_vertical_index = true)
-      : schema_(schema),
-        reconstructor_(std::move(reconstructor)),
-        perturbed_(&perturbed) {
-    if (use_vertical_index) {
-      source_ = std::make_shared<mining::LocalSupportCountSource>(
-          mining::ShardedVerticalIndex::Build(perturbed, /*num_shards=*/1));
-    }
-  }
-
-  /// Pipeline construction: owns pre-built per-shard indexes of the
-  /// perturbed shards; no perturbed rows are retained. `num_threads`
-  /// parallelizes each candidate-counting pass (0 = hardware concurrency).
-  GammaSupportEstimator(const data::CategoricalSchema& schema,
-                        GammaSubsetReconstructor reconstructor,
-                        mining::ShardedVerticalIndex index, size_t num_threads)
-      : schema_(schema),
-        reconstructor_(std::move(reconstructor)),
-        source_(std::make_shared<mining::LocalSupportCountSource>(
-            std::move(index), num_threads)) {}
-
-  /// Count-source construction: reconstruction over whatever produces the
-  /// total counts (the frapp/dist coordinator path).
   GammaSupportEstimator(const data::CategoricalSchema& schema,
                         GammaSubsetReconstructor reconstructor,
                         std::shared_ptr<mining::SupportCountSource> source)
@@ -366,9 +281,33 @@ class GammaSupportEstimator : public mining::SupportEstimator {
  private:
   const data::CategoricalSchema& schema_;
   GammaSubsetReconstructor reconstructor_;
-  const data::CategoricalTable* perturbed_ = nullptr;  // scalar fallback only
   std::shared_ptr<mining::SupportCountSource> source_;
 };
+
+/// Per-shard indexes of perturbed shards, in global row order: what the
+/// client side hands the miner. Only the vector matching the mechanism's
+/// shard kind is filled.
+struct ShardIndexes {
+  std::vector<mining::VerticalIndex> categorical;
+  std::vector<data::BooleanVerticalIndex> boolean;
+  size_t num_rows = 0;
+
+  /// Moves `other`'s indexes (not their planes' bytes) onto the end.
+  void Append(ShardIndexes&& other);
+
+  /// Approximate heap footprint: what a cache entry holding the indexes
+  /// charges against a byte budget.
+  size_t MemoryBytes() const;
+};
+
+/// The one perturb-into-index step of every engine: perturbs `shard` under
+/// the seeded-chunk contract and appends its index to `out`. A categorical
+/// shard perturbs straight into VerticalIndex planes (PerturbShardIndex); a
+/// boolean shard's perturbed one-hot rows (PerturbBooleanShard) are
+/// transposed into a BooleanVerticalIndex and dropped. An empty shard
+/// appends nothing.
+Status PerturbIntoIndex(Mechanism& mechanism, const data::ShardView& shard,
+                        uint64_t seed, size_t num_threads, ShardIndexes& out);
 
 }  // namespace core
 }  // namespace frapp

@@ -60,6 +60,16 @@ struct ShardView {
   size_t global_begin = 0;
 
   size_t size() const { return local.size(); }
+
+  /// Sub-view over this view's GLOBAL rows [gbegin, gend), which must lie
+  /// within it. Slicing on the chunk grid is bit-exact: a chunk perturbs
+  /// identically whether its shard held one chunk or ten.
+  ShardView Slice(size_t gbegin, size_t gend) const {
+    return {rows,
+            {local.begin + (gbegin - global_begin),
+             local.begin + (gend - global_begin)},
+            gbegin};
+  }
 };
 
 /// Fixed partition of a CategoricalTable into contiguous row shards.

@@ -5,17 +5,6 @@
 namespace frapp {
 namespace dist {
 
-size_t CachedRangeIndex::MemoryBytes() const {
-  size_t bytes = sizeof(CachedRangeIndex);
-  for (const mining::VerticalIndex& shard : categorical_shards) {
-    bytes += sizeof(shard) + shard.MemoryBytes();
-  }
-  for (const data::BooleanVerticalIndex& shard : boolean_shards) {
-    bytes += sizeof(shard) + shard.MemoryBytes();
-  }
-  return bytes;
-}
-
 bool IndexCache::Lookup(const std::string& key, CachedRangeIndex* out) {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = entries_.find(key);

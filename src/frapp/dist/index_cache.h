@@ -31,24 +31,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "frapp/data/boolean_vertical_index.h"
-#include "frapp/mining/vertical_index.h"
+#include "frapp/core/mechanism.h"
 
 namespace frapp {
 namespace dist {
 
-/// One cached ingest result: the per-shard indexes of one (job, range),
-/// exactly one of the two vectors non-empty (matching the mechanism's shard
-/// kind), plus the counts the worker acks with.
-struct CachedRangeIndex {
-  std::vector<mining::VerticalIndex> categorical_shards;
-  std::vector<data::BooleanVerticalIndex> boolean_shards;
-  uint64_t num_rows = 0;
-  uint64_t num_bits = 0;
-
-  /// Approximate heap footprint — what the entry charges the cache budget.
-  size_t MemoryBytes() const;
-};
+/// One cached ingest result: the per-shard indexes of one (job, range).
+using CachedRangeIndex = core::ShardIndexes;
 
 /// Thread-safe process-lifetime LRU cache with a byte budget. Keys come
 /// from MakeIndexCacheKey.

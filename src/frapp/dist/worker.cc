@@ -36,8 +36,7 @@ struct LocalState {
 };
 
 /// Streams the source's shards intersected with [begin, end) through
-/// perturb -> index -> drop (categorical shards perturb straight into their
-/// index). Every sub-shard keeps its GLOBAL row position,
+/// core::PerturbIntoIndex. Every sub-shard keeps its GLOBAL row position,
 /// so the seeded-chunk streams — and therefore the perturbed bits — equal
 /// the single-process pass over the same rows.
 StatusOr<CachedRangeIndex> IngestRange(uint64_t range_begin,
@@ -51,7 +50,6 @@ StatusOr<CachedRangeIndex> IngestRange(uint64_t range_begin,
   // keep yielding from row 0 and the loop below drops the leading rows.
   FRAPP_RETURN_IF_ERROR(source.SkipToRow(range.begin));
 
-  const bool boolean = state.kind == core::Mechanism::ShardKind::kBoolean;
   CachedRangeIndex built;
   pipeline::PulledShard shard;
   while (true) {
@@ -64,32 +62,12 @@ StatusOr<CachedRangeIndex> IngestRange(uint64_t range_begin,
     // Intersect with the assigned range. Both range bounds and every shard
     // begin are chunk-aligned, so the sub-shard still starts on the chunk
     // grid and seeded perturbation draws the same global streams.
-    const size_t begin = std::max(shard_begin, range.begin);
-    const size_t end = std::min(shard_end, range.end);
-    data::ShardView view;
-    view.rows = shard.view.rows;
-    view.local = data::RowRange{shard.view.local.begin + (begin - shard_begin),
-                                shard.view.local.begin + (end - shard_begin)};
-    view.global_begin = begin;
-    if (boolean) {
-      FRAPP_ASSIGN_OR_RETURN(
-          data::BooleanTable perturbed,
-          state.mechanism->PerturbBooleanShard(view, seed,
-                                               options.num_threads));
-      shard.owned.reset();  // source rows dropped once perturbed
-      built.num_rows += perturbed.num_rows();
-      built.boolean_shards.emplace_back(perturbed);
-      if (built.boolean_shards.back().num_bits() != 0) {
-        built.num_bits = built.boolean_shards.back().num_bits();
-      }
-    } else {
-      FRAPP_ASSIGN_OR_RETURN(
-          mining::VerticalIndex index,
-          state.mechanism->PerturbShardIndex(view, seed, options.num_threads));
-      shard.owned.reset();
-      built.num_rows += index.num_rows();
-      built.categorical_shards.push_back(std::move(index));
-    }  // the perturbed rows are dropped here
+    FRAPP_RETURN_IF_ERROR(core::PerturbIntoIndex(
+        *state.mechanism,
+        shard.view.Slice(std::max(shard_begin, range.begin),
+                         std::min(shard_end, range.end)),
+        seed, options.num_threads, built));
+    shard.owned.reset();  // source rows dropped once indexed
   }
   return built;
 }
@@ -154,10 +132,6 @@ Status HandleHello(const Message& message, const WorkerOptions& options,
   }
   FRAPP_ASSIGN_OR_RETURN(state->mechanism,
                          MakeMechanism(hello.spec, options.schema));
-  if (!state->mechanism->SupportsShardStreaming()) {
-    return Status::Unimplemented(state->mechanism->name() +
-                                 " does not stream shards");
-  }
   state->kind = state->mechanism->shard_kind();
   state->hello = hello;
   // A re-handshake starts the job over: drop ranges held for the old one.
@@ -167,13 +141,11 @@ Status HandleHello(const Message& message, const WorkerOptions& options,
   FRAPP_ASSIGN_OR_RETURN(
       CachedRangeIndex built,
       BuildOrFetchRange(hello.range_begin, hello.range_end, options, *state));
-  const bool boolean = state->kind == core::Mechanism::ShardKind::kBoolean;
-  if (boolean) {
-    state->boolean.AppendShards(std::move(built.boolean_shards));
-  } else {
-    state->categorical.AppendShards(std::move(built.categorical_shards));
-  }
+  // Only the vector of the job's shard kind is non-empty.
+  state->categorical.AppendShards(std::move(built.categorical));
+  state->boolean.AppendShards(std::move(built.boolean));
 
+  const bool boolean = state->kind == core::Mechanism::ShardKind::kBoolean;
   ack->num_rows = state->num_rows();
   ack->shard_kind = boolean ? 1 : 0;
   ack->num_bits = boolean ? state->boolean.num_bits() : 0;
@@ -196,12 +168,9 @@ Status HandleAssignRange(const Message& message, const WorkerOptions& options,
       BuildOrFetchRange(assign.range_begin, assign.range_end, options,
                         *state));
   ack->num_rows = built.num_rows;
-  ack->num_bits = built.num_bits;
-  if (state->kind == core::Mechanism::ShardKind::kBoolean) {
-    state->boolean.AppendShards(std::move(built.boolean_shards));
-  } else {
-    state->categorical.AppendShards(std::move(built.categorical_shards));
-  }
+  ack->num_bits = built.boolean.empty() ? 0 : built.boolean.front().num_bits();
+  state->categorical.AppendShards(std::move(built.categorical));
+  state->boolean.AppendShards(std::move(built.boolean));
   return Status::OK();
 }
 

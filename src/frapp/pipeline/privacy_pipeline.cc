@@ -8,9 +8,8 @@
 
 #include "frapp/common/clock.h"
 #include "frapp/common/parallel.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
-#include "frapp/mining/sharded_vertical_index.h"
-#include "frapp/mining/vertical_index.h"
+#include "frapp/data/pattern_count_source.h"
+#include "frapp/mining/count_source.h"
 #include "frapp/pipeline/prefetching_table_source.h"
 
 namespace frapp {
@@ -58,12 +57,6 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
         prefetched.producer_stats().parse_nanos;
     return result;
   }
-  if (!mechanism.SupportsShardStreaming()) {
-    return Status::Unimplemented(
-        mechanism.name() +
-        " does not implement the shard-streaming contract; every pipeline "
-        "mechanism must (there is no monolithic fallback)");
-  }
   PipelineResult result;
   const bool boolean_shards =
       mechanism.shard_kind() == core::Mechanism::ShardKind::kBoolean;
@@ -79,17 +72,13 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
 
   // Stream the source in batches of up to `batch` shards: shards are pulled
   // sequentially (sources are single-threaded parsers/generators), then each
-  // batch fans perturbation out over the workers. A categorical task
-  // perturbs its shard straight into the bitmap planes of its local
-  // vertical index; a boolean task perturbs one-hot rows and indexes them.
-  // Either drops the perturbed rows and (for streaming sources) the input
-  // buffer before returning, so at most one batch of shards is ever being
-  // perturbed at once. Every task is a pure function of its shard's global
-  // position (global seeded-chunk RNG streams) and counts merge as integer
-  // sums, so the result is bit-identical for any source kind, shard count
-  // and thread count.
-  std::vector<mining::VerticalIndex> cat_indexes;
-  std::vector<data::BooleanVerticalIndex> bool_indexes;
+  // batch fans core::PerturbIntoIndex out over the workers. Each task drops
+  // (for streaming sources) its input buffer before returning, so at most
+  // one batch of shards is ever being perturbed at once. Every task is a
+  // pure function of its shard's global position (global seeded-chunk RNG
+  // streams) and counts merge as integer sums, so the result is
+  // bit-identical for any source kind, shard count and thread count.
+  core::ShardIndexes indexes;
   std::atomic<size_t> inflight_bytes{0};
   std::atomic<size_t> peak_bytes{0};
   const size_t batch = std::max<size_t>(
@@ -114,12 +103,7 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
     }
     if (pending.empty()) break;
 
-    const size_t base = boolean_shards ? bool_indexes.size() : cat_indexes.size();
-    if (boolean_shards) {
-      bool_indexes.resize(base + pending.size());
-    } else {
-      cat_indexes.resize(base + pending.size());
-    }
+    std::vector<core::ShardIndexes> built(pending.size());
     std::vector<Status> statuses(pending.size());
     // With several shards in the batch the outer dispatch occupies the
     // pool's single job slot, so nested parallel calls would run inline
@@ -138,29 +122,15 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
                          inflight_bytes.fetch_add(shard_bytes,
                                                   std::memory_order_relaxed) +
                              shard_bytes);
-          if (boolean_shards) {
-            StatusOr<data::BooleanTable> perturbed = mechanism.PerturbBooleanShard(
-                shard.view, options_.perturb_seed, inner_threads);
-            shard.owned.reset();  // source buffer dropped once perturbed
-            if (perturbed.ok()) {
-              bool_indexes[base + i] = data::BooleanVerticalIndex(*perturbed);
-            } else {
-              statuses[i] = perturbed.status();
-            }  // the perturbed one-hot rows are dropped here
-          } else {
-            StatusOr<mining::VerticalIndex> index = mechanism.PerturbShardIndex(
-                shard.view, options_.perturb_seed, inner_threads);
-            shard.owned.reset();
-            if (index.ok()) {
-              cat_indexes[base + i] = *std::move(index);
-            } else {
-              statuses[i] = index.status();
-            }
-          }
+          statuses[i] = core::PerturbIntoIndex(
+              mechanism, shard.view, options_.perturb_seed, inner_threads,
+              built[i]);
+          shard.owned.reset();  // source buffer dropped once indexed
           inflight_bytes.fetch_sub(shard_bytes, std::memory_order_relaxed);
         });
     for (size_t i = 0; i < pending.size(); ++i) {
       FRAPP_RETURN_IF_ERROR(statuses[i]);
+      indexes.Append(std::move(built[i]));
       result.stats.max_shard_rows =
           std::max(result.stats.max_shard_rows, pending[i].view.size());
       result.stats.total_rows += pending[i].view.size();
@@ -171,16 +141,18 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
   std::unique_ptr<mining::SupportEstimator> estimator;
   if (boolean_shards) {
     FRAPP_ASSIGN_OR_RETURN(
-        estimator, mechanism.MakeShardedBooleanEstimator(
-                       data::ShardedBooleanVerticalIndex::FromShards(
-                           std::move(bool_indexes)),
-                       options_.num_threads));
+        estimator, mechanism.MakeBooleanCountSourceEstimator(
+                       std::make_shared<data::LocalPatternCountSource>(
+                           data::ShardedBooleanVerticalIndex::FromShards(
+                               std::move(indexes.boolean)),
+                           options_.num_threads)));
   } else {
     FRAPP_ASSIGN_OR_RETURN(
-        estimator, mechanism.MakeShardedEstimator(
-                       mining::ShardedVerticalIndex::FromShards(
-                           std::move(cat_indexes)),
-                       options_.num_threads));
+        estimator, mechanism.MakeCountSourceEstimator(
+                       std::make_shared<mining::LocalSupportCountSource>(
+                           mining::ShardedVerticalIndex::FromShards(
+                               std::move(indexes.categorical)),
+                           options_.num_threads)));
   }
   FRAPP_ASSIGN_OR_RETURN(
       result.mined, mining::MineFrequentItemsets(source.schema(), *estimator,

@@ -18,8 +18,7 @@
 // Every mechanism streams: DET-GD, RAN-GD and IND-GD as categorical shards
 // counted by mining::ShardedVerticalIndex, MASK and C&P as one-hot boolean
 // shards counted by data::ShardedBooleanVerticalIndex (the superset Mobius
-// transform commutes with the row partition). There is no monolithic
-// fallback; a mechanism without shard support is an error.
+// transform commutes with the row partition).
 //
 // Ingest can be pipelined: with PipelineOptions::prefetch_source the source
 // is pulled through a PrefetchingTableSource producer thread, so the next
@@ -139,10 +138,9 @@ class PrivacyPipeline {
 
   const PipelineOptions& options() const { return options_; }
 
-  /// Streams `source`'s shards through the mechanism's perturbation, indexes
-  /// and drops each shard, then mines with the mechanism's reconstructing
-  /// estimator. Mining happens inside the pipeline; the mechanism's own
-  /// estimator() state is not touched. With options().prefetch_source the
+  /// Streams `source`'s shards through core::PerturbIntoIndex, then mines
+  /// with the mechanism's reconstructing estimator over the merged indexes.
+  /// The mechanism holds no per-run state. With options().prefetch_source the
   /// source is driven from a producer thread for the duration of the call
   /// (it is back under the caller's control when Run returns).
   StatusOr<PipelineResult> Run(core::Mechanism& mechanism,

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "frapp/data/boolean_view.h"
+#include "frapp/core/mechanism.h"
 #include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/pattern_count_source.h"
 #include "frapp/data/shard_io.h"
@@ -38,44 +38,8 @@ double DoubleFromBits(uint64_t bits) {
 }
 
 /// Accumulated per-slice indexes of one perturbed row segment (expired,
-/// delta, tail, or the fallback's stored range). Exactly one of the two
-/// vectors is used, by mechanism shard kind.
-struct Segment {
-  std::vector<mining::VerticalIndex> cat;
-  std::vector<data::BooleanVerticalIndex> boolean;
-  size_t rows = 0;
-};
-
-/// Sub-view of rows [gbegin, gend) of a pulled shard, in global row terms.
-/// Slicing at chunk boundaries before perturbing is bit-exact: seeded
-/// perturbation derives its RNG streams from GLOBAL chunk indexes, so a
-/// chunk perturbs identically whether its shard held one chunk or ten.
-data::ShardView Slice(const data::ShardView& view, size_t gbegin,
-                      size_t gend) {
-  data::ShardView out;
-  out.rows = view.rows;
-  out.local = {view.local.begin + (gbegin - view.global_begin),
-               view.local.begin + (gend - view.global_begin)};
-  out.global_begin = gbegin;
-  return out;
-}
-
-Status PerturbInto(core::Mechanism& mech, bool boolean_shards,
-                   const data::ShardView& view, uint64_t seed,
-                   size_t num_threads, Segment& segment) {
-  if (view.size() == 0) return Status::OK();
-  if (boolean_shards) {
-    FRAPP_ASSIGN_OR_RETURN(const data::BooleanTable perturbed,
-                           mech.PerturbBooleanShard(view, seed, num_threads));
-    segment.boolean.push_back(data::BooleanVerticalIndex(perturbed));
-  } else {
-    FRAPP_ASSIGN_OR_RETURN(mining::VerticalIndex index,
-                           mech.PerturbShardIndex(view, seed, num_threads));
-    segment.cat.push_back(std::move(index));
-  }
-  segment.rows += view.size();
-  return Status::OK();
-}
+/// delta, tail, or the fallback's stored range).
+using Segment = core::ShardIndexes;
 
 struct IngestOutput {
   Segment delta;
@@ -95,8 +59,7 @@ struct IngestOutput {
 /// TableSource contract), and the final shard is split at
 /// W = floor(total / chunk) * chunk.
 StatusOr<IngestOutput> IngestGrowth(pipeline::TableSource& source,
-                                    core::Mechanism& mech,
-                                    bool boolean_shards, uint64_t seed,
+                                    core::Mechanism& mech, uint64_t seed,
                                     size_t num_threads, size_t growth_begin) {
   IngestOutput out;
   FRAPP_RETURN_IF_ERROR(source.SkipToRow(growth_begin));
@@ -104,9 +67,8 @@ StatusOr<IngestOutput> IngestGrowth(pipeline::TableSource& source,
   const auto delta_chunks = [&](const data::ShardView& view, size_t glo,
                                 size_t gend) -> Status {
     for (size_t c = glo; c < gend; c += kChunk) {
-      FRAPP_RETURN_IF_ERROR(PerturbInto(mech, boolean_shards,
-                                        Slice(view, c, c + kChunk), seed,
-                                        num_threads, out.delta));
+      FRAPP_RETURN_IF_ERROR(core::PerturbIntoIndex(
+          mech, view.Slice(c, c + kChunk), seed, num_threads, out.delta));
     }
     return Status::OK();
   };
@@ -126,9 +88,9 @@ StatusOr<IngestOutput> IngestGrowth(pipeline::TableSource& source,
       FRAPP_RETURN_IF_ERROR(delta_chunks(shard.view, glo, whole));
     }
     if (whole < e) {
-      FRAPP_RETURN_IF_ERROR(PerturbInto(mech, boolean_shards,
-                                        Slice(shard.view, std::max(glo, whole), e),
-                                        seed, num_threads, out.tail));
+      FRAPP_RETURN_IF_ERROR(core::PerturbIntoIndex(
+          mech, shard.view.Slice(std::max(glo, whole), e), seed, num_threads,
+          out.tail));
     }
     return Status::OK();
   };
@@ -163,10 +125,10 @@ Segment SegmentFromSubstrate(const CountStore& store, size_t chunk_begin,
       segment.boolean.push_back(
           data::BooleanVerticalIndex::FromRaw(kChunk, num_bits, chunk.words));
     } else {
-      segment.cat.push_back(
+      segment.categorical.push_back(
           mining::VerticalIndex::FromRaw(kChunk, offsets, chunk.words));
     }
-    segment.rows += kChunk;
+    segment.num_rows += kChunk;
   }
   return segment;
 }
@@ -181,15 +143,16 @@ class SegmentCounter {
   // pool dispatch. Thread count never affects results, so the clamp is pure
   // scheduling.
   SegmentCounter(Segment segment, bool boolean_shards, size_t num_threads)
-      : rows_(segment.rows),
-        num_threads_(segment.rows < 2 * kChunk ? 1 : num_threads) {
+      : rows_(segment.num_rows),
+        num_threads_(segment.num_rows < 2 * kChunk ? 1 : num_threads) {
     if (rows_ == 0) return;
     if (boolean_shards) {
       bool_.emplace(data::ShardedBooleanVerticalIndex::FromShards(
           std::move(segment.boolean)));
     } else {
       cat_.emplace(
-          mining::ShardedVerticalIndex::FromShards(std::move(segment.cat)));
+          mining::ShardedVerticalIndex::FromShards(
+              std::move(segment.categorical)));
     }
   }
 
@@ -397,10 +360,6 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
 
   FRAPP_ASSIGN_OR_RETURN(std::unique_ptr<core::Mechanism> mech,
                          dist::MakeMechanism(spec, schema));
-  if (!mech->SupportsShardStreaming()) {
-    return Status::Unimplemented(
-        mech->name() + " does not implement the shard-streaming contract");
-  }
   const bool boolean =
       mech->shard_kind() == core::Mechanism::ShardKind::kBoolean;
 
@@ -444,8 +403,8 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
 
   FRAPP_ASSIGN_OR_RETURN(
       IngestOutput ingest,
-      IngestGrowth(*source, *mech, boolean, options.perturb_seed,
-                   options.num_threads, growth_begin));
+      IngestGrowth(*source, *mech, options.perturb_seed, options.num_threads,
+                   growth_begin));
   const size_t total = source->TotalRows().value_or(
       std::max(ingest.observed_end, growth_begin));
   source.reset();
@@ -470,9 +429,9 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   // The delta indexes ARE the new substrate chunks: capture their raw
   // planes before the counters consume them.
   std::vector<SubstrateChunk> delta_substrate;
-  delta_substrate.reserve(ingest.delta.cat.size() +
+  delta_substrate.reserve(ingest.delta.categorical.size() +
                           ingest.delta.boolean.size());
-  for (const mining::VerticalIndex& index : ingest.delta.cat) {
+  for (const mining::VerticalIndex& index : ingest.delta.categorical) {
     delta_substrate.push_back(SubstrateChunk{index.raw_bits()});
   }
   for (const data::BooleanVerticalIndex& index : ingest.delta.boolean) {

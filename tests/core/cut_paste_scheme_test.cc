@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "frapp/data/census.h"
 
@@ -243,7 +244,10 @@ TEST(CutPasteSupportEstimatorTest, SingletonEstimateOnCensusData) {
   StatusOr<data::BooleanTable> perturbed = s.Perturb(*onehot, rng);
   ASSERT_TRUE(perturbed.ok());
 
-  CutPasteSupportEstimator estimator(s, data::BooleanLayout(schema), *perturbed);
+  CutPasteSupportEstimator estimator(
+      s, data::BooleanLayout(schema),
+      std::make_shared<data::LocalPatternCountSource>(
+          data::ShardedBooleanVerticalIndex::Build(*perturbed, 1)));
   // native-country = United-States, true support ~0.894.
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{5, 0}}));

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "frapp/data/census.h"
+#include "frapp/mining/count_source.h"
 
 namespace frapp {
 namespace core {
@@ -57,10 +62,19 @@ TEST(DesignerTest, DesignedMechanismIsUsable) {
   options.randomization_fraction = 0.25;
   StatusOr<FrappDesign> design = DesignMechanism(schema, options);
   ASSERT_TRUE(design.ok());
-  random::Pcg64 rng(4);
-  ASSERT_TRUE(design->mechanism->Prepare(*table, rng).ok());
-  StatusOr<double> est = design->mechanism->estimator().EstimateSupport(
-      *mining::Itemset::Create({{4, 1}}));
+  StatusOr<mining::VerticalIndex> index = design->mechanism->PerturbShardIndex(
+      data::ShardView{&*table, {0, table->num_rows()}, 0}, /*seed=*/4,
+      /*num_threads=*/1);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  std::vector<mining::VerticalIndex> shards;
+  shards.push_back(*std::move(index));
+  StatusOr<std::unique_ptr<mining::SupportEstimator>> estimator =
+      design->mechanism->MakeCountSourceEstimator(
+          std::make_shared<mining::LocalSupportCountSource>(
+              mining::ShardedVerticalIndex::FromShards(std::move(shards))));
+  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+  StatusOr<double> est =
+      (*estimator)->EstimateSupport(*mining::Itemset::Create({{4, 1}}));
   EXPECT_TRUE(est.ok());
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "frapp/core/privacy.h"
 #include "frapp/data/census.h"
@@ -125,7 +126,9 @@ TEST(IndependentColumnEstimatorTest, ExactOnNoiselessSubsetHistogram) {
   StatusOr<data::CategoricalTable> perturbed = s->Perturb(*t, rng);
   ASSERT_TRUE(perturbed.ok());
 
-  IndependentColumnSupportEstimator estimator(*s, *perturbed);
+  IndependentColumnSupportEstimator estimator(
+      *s, std::make_shared<mining::LocalSupportCountSource>(
+              mining::ShardedVerticalIndex::Build(*perturbed, 1)));
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{0, 1}, {1, 2}}));
   ASSERT_TRUE(est.ok());

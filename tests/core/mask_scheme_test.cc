@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 
 #include "frapp/data/census.h"
 #include "frapp/linalg/condition.h"
@@ -202,7 +203,10 @@ TEST(MaskSupportEstimatorTest, ResolvesItemsetBits) {
   StatusOr<data::BooleanTable> perturbed = s->Perturb(*onehot, rng);
   ASSERT_TRUE(perturbed.ok());
 
-  MaskSupportEstimator estimator(*s, data::BooleanLayout(schema), *perturbed);
+  MaskSupportEstimator estimator(
+      *s, data::BooleanLayout(schema),
+      std::make_shared<data::LocalPatternCountSource>(
+          data::ShardedBooleanVerticalIndex::Build(*perturbed, 1)));
   // sex = Male has true support ~0.67; a singleton estimate should be close.
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{4, 1}}));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "frapp/core/gamma_diagonal.h"
 #include "frapp/data/domain_index.h"
@@ -19,6 +20,10 @@ struct ShapeCase {
   std::vector<size_t> cardinalities;
   const char* name;
 };
+
+// Prints the case by name. The default printer dumps the struct's raw bytes,
+// which hold pointers, so test names would change from build to build.
+void PrintTo(const ShapeCase& c, std::ostream* os) { *os << c.name; }
 
 class PerturberShapeTest : public ::testing::TestWithParam<ShapeCase> {};
 

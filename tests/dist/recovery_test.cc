@@ -448,7 +448,7 @@ TEST_F(RecoveryTest, IndexCacheEvictsLeastRecentlyUsedUnderByteBudget) {
   ASSERT_TRUE(table.ok()) << table.status().ToString();
   for (size_t row = 0; row < 64 * 1024; ++row) table->AppendRow(0);
   CachedRangeIndex entry;
-  entry.boolean_shards.emplace_back(*table);
+  entry.boolean.emplace_back(*table);
   const size_t entry_bytes = entry.MemoryBytes();
   ASSERT_GT(entry_bytes, 0u);
 

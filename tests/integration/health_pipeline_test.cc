@@ -4,12 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "frapp/core/designer.h"
 #include "frapp/core/error_analysis.h"
 #include "frapp/core/mechanism.h"
 #include "frapp/data/health.h"
 #include "frapp/eval/experiment.h"
+#include "frapp/mining/count_source.h"
 
 namespace frapp {
 namespace {
@@ -76,10 +80,19 @@ TEST_F(HealthPipelineTest, DesignerEndToEndOnHealth) {
   ASSERT_TRUE(design.ok());
   EXPECT_NEAR(design->condition_number, (19.0 + 7499.0) / 18.0, 1e-9);
 
-  random::Pcg64 rng(10);
-  ASSERT_TRUE(design->mechanism->Prepare(*table_, rng).ok());
-  StatusOr<double> est = design->mechanism->estimator().EstimateSupport(
-      *mining::Itemset::Create({{4, 1}}));
+  StatusOr<mining::VerticalIndex> index = design->mechanism->PerturbShardIndex(
+      data::ShardView{table_, {0, table_->num_rows()}, 0}, /*seed=*/10,
+      /*num_threads=*/1);
+  ASSERT_TRUE(index.ok()) << index.status().ToString();
+  std::vector<mining::VerticalIndex> shards;
+  shards.push_back(*std::move(index));
+  StatusOr<std::unique_ptr<mining::SupportEstimator>> estimator =
+      design->mechanism->MakeCountSourceEstimator(
+          std::make_shared<mining::LocalSupportCountSource>(
+              mining::ShardedVerticalIndex::FromShards(std::move(shards))));
+  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+  StatusOr<double> est =
+      (*estimator)->EstimateSupport(*mining::Itemset::Create({{4, 1}}));
   ASSERT_TRUE(est.ok());
   // Singleton noise on HEALTH is sigma ~ 1 at this N; wiring bugs are 10x+.
   EXPECT_LT(std::fabs(*est - 0.52), 4.0);

@@ -170,11 +170,12 @@ TEST_F(PipelineTest, PerturbationIsDeterministicGivenSeed) {
   StatusOr<std::unique_ptr<core::DetGdMechanism>> m2 =
       core::DetGdMechanism::Create(table_->schema(), kGamma);
   ASSERT_TRUE(m1.ok() && m2.ok());
-  random::Pcg64 rng1(77), rng2(77);
-  ASSERT_TRUE((*m1)->Prepare(*table_, rng1).ok());
-  ASSERT_TRUE((*m2)->Prepare(*table_, rng2).ok());
+  const data::ShardView whole{table_, {0, table_->num_rows()}, 0};
+  StatusOr<data::CategoricalTable> p1 = (*m1)->PerturbShard(whole, 77, 1);
+  StatusOr<data::CategoricalTable> p2 = (*m2)->PerturbShard(whole, 77, 1);
+  ASSERT_TRUE(p1.ok() && p2.ok());
   for (size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ((*m1)->perturbed().Row(i), (*m2)->perturbed().Row(i));
+    EXPECT_EQ(p1->Row(i), p2->Row(i));
   }
 }
 

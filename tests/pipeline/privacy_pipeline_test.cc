@@ -163,22 +163,6 @@ TEST_F(PrivacyPipelineTest, IndependentColumnBitIdenticalAcrossShardsAndThreads)
   });
 }
 
-TEST_F(PrivacyPipelineTest, EveryMechanismReportsShardStreaming) {
-  const double x =
-      1.0 / (kGamma + static_cast<double>(table_->schema().DomainSize()) - 1.0);
-  std::vector<std::unique_ptr<core::Mechanism>> mechanisms;
-  mechanisms.push_back(*core::DetGdMechanism::Create(table_->schema(), kGamma));
-  mechanisms.push_back(
-      *core::RanGdMechanism::Create(table_->schema(), kGamma, kGamma * x / 2.0));
-  mechanisms.push_back(*core::MaskMechanism::Create(table_->schema(), kGamma));
-  mechanisms.push_back(*core::CutPasteMechanism::Create(table_->schema(), 3, 0.494));
-  mechanisms.push_back(
-      *core::IndependentColumnMechanism::Create(table_->schema(), kGamma));
-  for (const auto& mechanism : mechanisms) {
-    EXPECT_TRUE(mechanism->SupportsShardStreaming()) << mechanism->name();
-  }
-}
-
 TEST_F(PrivacyPipelineTest, StreamingBoundsPeakMemoryToOneShardPerWorker) {
   // Categorical shards are perturbed straight into bitmap planes: one
   // uint64_t per 64 rows per item.

@@ -14,6 +14,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -88,6 +89,10 @@ struct GridCase {
   bool binary_source;
   size_t threads;
 };
+
+// Prints the case by name. The default printer dumps the struct's raw bytes,
+// which hold a pointer, so test names would change from build to build.
+void PrintTo(const GridCase& c, std::ostream* os) { *os << c.name; }
 
 class IncrementalGridTest : public IncrementalMineTest,
                             public ::testing::WithParamInterface<GridCase> {};

@@ -111,7 +111,6 @@
 #include "frapp/common/parallel.h"
 #include "frapp/common/string_util.h"
 #include "frapp/core/designer.h"
-#include "frapp/core/subset_reconstruction.h"
 #include "frapp/data/census.h"
 #include "frapp/data/csv.h"
 #include "frapp/data/health.h"
@@ -125,8 +124,8 @@
 #include "frapp/dist/worker.h"
 #include "frapp/eval/reporting.h"
 #include "frapp/mining/apriori.h"
+#include "frapp/mining/count_source.h"
 #include "frapp/mining/kernels.h"
-#include "frapp/mining/support_counter.h"
 #include "frapp/pipeline/privacy_pipeline.h"
 #include "frapp/serve/broker.h"
 #include "frapp/serve/client.h"
@@ -287,19 +286,7 @@ int CmdPerturb(const Flags& flags) {
   std::cout << design.Summary();
 
   random::Pcg64 rng(flags.GetUint("seed", 7));
-  UnwrapStatus(design.mechanism->Prepare(original, rng));
-
-  // Reuse the perturber directly to fetch the perturbed table: DET-GD
-  // exposes it; for RAN-GD re-run the perturber (same distribution).
-  if (auto* det = dynamic_cast<core::DetGdMechanism*>(design.mechanism.get())) {
-    UnwrapStatus(data::WriteCsv(det->perturbed(), out));
-  } else {
-    auto* ran = dynamic_cast<core::RanGdMechanism*>(design.mechanism.get());
-    random::Pcg64 rng2(flags.GetUint("seed", 7));
-    const data::CategoricalTable perturbed =
-        Unwrap(ran->perturber().Perturb(original, rng2));
-    UnwrapStatus(data::WriteCsv(perturbed, out));
-  }
+  UnwrapStatus(data::WriteCsv(Unwrap(design.Perturb(original, rng)), out));
   std::cout << "wrote perturbed database to " << out << "\n";
   return 0;
 }
@@ -638,13 +625,14 @@ int CmdMine(const Flags& flags) {
   if (flags.Has("exact")) {
     result = Unwrap(mining::MineExact(table, options));
   } else {
-    // The input is a PERTURBED database: mine with reconstruction. The
-    // estimator reads perturbed supports from the table and inverts Eq. 28.
+    // The input is a PERTURBED database: mine with reconstruction over the
+    // counts of a one-shard index of the table (Eq. 28's inverse).
     core::FrappDesign design = DesignFor(schema, flags);
-    auto reconstructor = Unwrap(core::GammaSubsetReconstructor::Create(
-        design.gamma, schema.DomainSize()));
-    core::GammaSupportEstimator estimator(schema, reconstructor, table);
-    result = Unwrap(mining::MineFrequentItemsets(schema, estimator, options));
+    const std::unique_ptr<mining::SupportEstimator> estimator =
+        Unwrap(design.mechanism->MakeCountSourceEstimator(
+            std::make_shared<mining::LocalSupportCountSource>(
+                mining::ShardedVerticalIndex::Build(table, 1))));
+    result = Unwrap(mining::MineFrequentItemsets(schema, *estimator, options));
   }
 
   PrintMiningReport(schema, result,
