@@ -6,10 +6,12 @@
 // candidate's k bit positions (2^k integers). Those are derived from
 // superset-intersection counts by the superset Mobius transform, which is
 // LINEAR — so the transform commutes with summing per-partition superset
-// vectors, and a distributed implementation can ship RAW superset counts and
+// vectors. The dist coordinator (over its workers' vectors) and the count
+// store (over stored, expired, appended and tail vectors) therefore sum RAW
+// superset counts (ShardedBooleanVerticalIndex::SupersetCounts) and
 // transform once after the merge. Either way the integers reaching the
 // estimator are identical, which is what keeps reconstruction bit-identical
-// across local and remote counting.
+// across local, remote and store-backed counting.
 
 #ifndef FRAPP_DATA_PATTERN_COUNT_SOURCE_H_
 #define FRAPP_DATA_PATTERN_COUNT_SOURCE_H_
@@ -78,58 +80,6 @@ class LocalPatternCountSource : public PatternCountSource {
   }
 
   const ShardedBooleanVerticalIndex& index() const { return index_; }
-
- private:
-  ShardedBooleanVerticalIndex index_;
-  size_t num_threads_;
-};
-
-/// RAW superset-intersection count vectors — the PRE-Mobius, purely
-/// additive half of PatternCounts. counts[S] (S a bit-subset of the
-/// candidate's positions) = #rows with every bit of S set, bits outside S
-/// free. Unlike exact-pattern counts these vectors sum directly across any
-/// row partition, which makes them the currency of everything that merges
-/// or caches counts: frapp/dist workers ship them, and the frapp/store
-/// count store persists them (the Mobius transform runs per-query on the
-/// merged totals, preserving bit-identity).
-class SupersetCountSource {
- public:
-  virtual ~SupersetCountSource() = default;
-
-  /// Total rows behind the counts.
-  virtual size_t num_rows() const = 0;
-
-  /// One-hot width: bit positions at or above this cannot occur in any row.
-  virtual size_t num_bits() const = 0;
-
-  /// out[c] = the 2^k superset-count vector of candidates[c]. Requires
-  /// every candidate size <= BooleanVerticalIndex::kMaxPatternLength.
-  virtual StatusOr<std::vector<std::vector<int64_t>>> SupersetCountsBatch(
-      const std::vector<std::vector<size_t>>& candidates) = 0;
-};
-
-/// In-process implementation over a sharded boolean bitmap index.
-class LocalSupersetCountSource : public SupersetCountSource {
- public:
-  LocalSupersetCountSource(ShardedBooleanVerticalIndex index,
-                           size_t num_threads = 1)
-      : index_(std::move(index)), num_threads_(num_threads) {}
-
-  size_t num_rows() const override { return index_.num_rows(); }
-  size_t num_bits() const override { return index_.num_bits(); }
-
-  StatusOr<std::vector<std::vector<int64_t>>> SupersetCountsBatch(
-      const std::vector<std::vector<size_t>>& candidates) override {
-    std::vector<std::vector<int64_t>> out;
-    out.reserve(candidates.size());
-    for (const std::vector<size_t>& positions : candidates) {
-      if (positions.size() > BooleanVerticalIndex::kMaxPatternLength) {
-        return Status::InvalidArgument("pattern length above the 2^k cap");
-      }
-      out.push_back(index_.SupersetCounts(positions, num_threads_));
-    }
-    return out;
-  }
 
  private:
   ShardedBooleanVerticalIndex index_;

@@ -107,11 +107,11 @@ struct AprioriResult {
 /// itemsets of `frequent` — which MUST be sorted by itemset — that share
 /// their first k-1 items, skips same-attribute clashes, and prunes any
 /// candidate with a k-subset missing from `frequent` (binary search over the
-/// sorted list; no per-probe allocation). Exposed (it used to be internal to
-/// MineFrequentItemsets) so the incremental superset walker in frapp/store
-/// generates candidate lists through the EXACT same code path as a
-/// from-scratch mine — the bit-identity of incremental mining rests on the
-/// two walks agreeing candidate for candidate.
+/// sorted list; no per-probe allocation). Exposed for its oracle test; every
+/// engine reaches it only through MineFrequentItemsets. It is monotone in its
+/// input (a subset of `frequent` yields a subset of the candidates), which
+/// is what lets the count store run the walk twice — at its retention
+/// threshold and at supmin — over one memoized count source.
 std::vector<Itemset> GenerateCandidates(
     const std::vector<FrequentItemset>& frequent);
 

@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "frapp/data/schema.h"
-#include "frapp/data/sharded_table.h"
-#include "frapp/pipeline/privacy_pipeline.h"
 
 namespace frapp {
 namespace serve {
@@ -228,17 +226,6 @@ StatusOr<CachedResult> QueryBroker::RunMine(const QueryRequest& request) {
   if (options_.source_factory == nullptr) {
     return Status::FailedPrecondition("broker has no source factory");
   }
-  // IND-GD's estimator probes full subset-domain histograms — counts no
-  // store materializes — so it mines through the pipeline; every other
-  // mechanism rides the count store.
-  if (request.spec.kind == dist::MechanismSpec::Kind::kIndGd) {
-    return RunPipeline(request);
-  }
-  return RunStoreBacked(request);
-}
-
-StatusOr<CachedResult> QueryBroker::RunStoreBacked(
-    const QueryRequest& request) {
   store::IncrementalOptions inc;
   inc.mining.min_support = request.min_support;
   inc.perturb_seed = request.perturb_seed;
@@ -274,28 +261,6 @@ StatusOr<CachedResult> QueryBroker::RunStoreBacked(
   cached.store_misses = result.stats.store_misses;
   cached.delta_chunks = result.stats.delta_chunks;
   cached.tail_rows = result.stats.tail_rows;
-  return cached;
-}
-
-StatusOr<CachedResult> QueryBroker::RunPipeline(const QueryRequest& request) {
-  FRAPP_ASSIGN_OR_RETURN(std::unique_ptr<pipeline::TableSource> source,
-                         options_.source_factory());
-  FRAPP_ASSIGN_OR_RETURN(std::unique_ptr<core::Mechanism> mechanism,
-                         dist::MakeMechanism(request.spec, options_.schema));
-  pipeline::PipelineOptions pipeline_options;
-  pipeline_options.num_shards = 1;
-  pipeline_options.num_threads = options_.num_threads;
-  pipeline_options.perturb_seed = request.perturb_seed;
-  pipeline_options.mining.min_support = request.min_support;
-  FRAPP_ASSIGN_OR_RETURN(
-      pipeline::PipelineResult result,
-      pipeline::PrivacyPipeline(pipeline_options).Run(*mechanism, *source));
-  CachedResult cached;
-  cached.mined = std::move(result.mined);
-  // The pipeline perturbs everything, every run: report the full extent so
-  // "zero re-perturbation" assertions can never pass vacuously against it.
-  cached.delta_chunks = result.stats.total_rows / data::kShardAlignmentRows;
-  cached.tail_rows = result.stats.total_rows % data::kShardAlignmentRows;
   return cached;
 }
 

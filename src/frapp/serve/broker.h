@@ -19,14 +19,13 @@
 //      reuses them. With no data growth such a run perturbs NOTHING
 //      (delta_chunks == 0, tail_rows == 0 when the table is chunk-aligned):
 //      candidates below the retained superset are recounted from the stored
-//      substrate planes. IND-GD probes full subset-domain histograms that
-//      no store materializes, so it runs through pipeline::PrivacyPipeline
-//      instead.
+//      substrate planes. Every mechanism mines this way: IND-GD's
+//      subset-domain cells are ordinary itemset counts to the store.
 //
 // Every path yields results bit-identical to a fresh
 // pipeline::PrivacyPipeline::Run over the same spec — cache hits because
-// they replay the stored result object, store-backed runs by the
-// AppendAndMine contract. Top-k and rule queries derive from the same
+// they replay the stored result object, mine runs by the AppendAndMine
+// contract. Top-k and rule queries derive from the same
 // cached mined result (the supmin in their key is the mine they derive
 // from), so they ride the identical reuse ladder.
 //
@@ -133,8 +132,6 @@ class QueryBroker {
   StatusOr<std::shared_ptr<const CachedResult>> MineOrAttach(
       const QueryRequest& request, CacheOutcome* outcome);
   StatusOr<CachedResult> RunMine(const QueryRequest& request);
-  StatusOr<CachedResult> RunStoreBacked(const QueryRequest& request);
-  StatusOr<CachedResult> RunPipeline(const QueryRequest& request);
   ServerStatsWire Snapshot() const;
 
   const BrokerOptions options_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -133,150 +134,251 @@ Segment SegmentFromSubstrate(const CountStore& store, size_t chunk_begin,
   return segment;
 }
 
-/// Count oracle over one built segment. Empty segments answer all-zero
-/// vectors without ever building an index.
-class SegmentCounter {
- public:
-  SegmentCounter() = default;
+/// One segment's indexes, merged across its slices and ready to count.
+struct CountableSegment {
   // Parallel counting only pays for itself on multi-chunk segments; a tail
   // or single-chunk delta counts faster on the calling thread than behind a
   // pool dispatch. Thread count never affects results, so the clamp is pure
   // scheduling.
-  SegmentCounter(Segment segment, bool boolean_shards, size_t num_threads)
-      : rows_(segment.num_rows),
-        num_threads_(segment.num_rows < 2 * kChunk ? 1 : num_threads) {
-    if (rows_ == 0) return;
-    if (boolean_shards) {
-      bool_.emplace(data::ShardedBooleanVerticalIndex::FromShards(
-          std::move(segment.boolean)));
-    } else {
-      cat_.emplace(
-          mining::ShardedVerticalIndex::FromShards(
-              std::move(segment.categorical)));
-    }
-  }
+  CountableSegment(Segment segment, size_t num_threads)
+      : rows(segment.num_rows),
+        threads(segment.num_rows < 2 * kChunk ? 1 : num_threads),
+        categorical(mining::ShardedVerticalIndex::FromShards(
+            std::move(segment.categorical))),
+        boolean(data::ShardedBooleanVerticalIndex::FromShards(
+            std::move(segment.boolean))) {}
 
-  size_t rows() const { return rows_; }
-
-  /// Support-kind counting: one flat count per candidate, no per-candidate
-  /// vectors — the hot path of the incremental walk.
-  StatusOr<std::vector<int64_t>> CountFlat(
-      const std::vector<mining::Itemset>& itemsets) const {
-    if (!cat_.has_value()) {
-      if (rows_ != 0) return Status::Internal("support count on boolean segment");
-      return std::vector<int64_t>(itemsets.size(), 0);
-    }
-    const std::vector<size_t> counts =
-        cat_->CountSupports(itemsets, num_threads_);
-    std::vector<int64_t> out(counts.size());
-    for (size_t i = 0; i < counts.size(); ++i) {
-      out[i] = static_cast<int64_t>(counts[i]);
-    }
-    return out;
-  }
-
-  /// Boolean-kind counting: counts[i] is the 2^k PRE-Mobius superset vector
-  /// of positions[i] (parallel to `itemsets`).
-  StatusOr<std::vector<std::vector<int64_t>>> Count(
-      const std::vector<mining::Itemset>& itemsets,
-      const std::vector<std::vector<size_t>>& positions) const {
-    std::vector<std::vector<int64_t>> out(itemsets.size());
-    for (size_t i = 0; i < itemsets.size(); ++i) {
-      const size_t k = positions[i].size();
-      if (k > data::BooleanVerticalIndex::kMaxPatternLength) {
-        return Status::InvalidArgument("pattern length above the 2^k cap");
-      }
-      out[i] = bool_.has_value()
-                   ? bool_->SupersetCounts(positions[i], num_threads_)
-                   : std::vector<int64_t>(size_t{1} << k, 0);
-    }
-    return out;
-  }
-
- private:
-  std::optional<mining::ShardedVerticalIndex> cat_;
-  std::optional<data::ShardedBooleanVerticalIndex> bool_;
-  size_t rows_ = 0;
-  size_t num_threads_ = 1;
+  size_t rows;
+  size_t threads;
+  mining::ShardedVerticalIndex categorical;
+  data::ShardedBooleanVerticalIndex boolean;
 };
 
-/// SupportCountSource answering the walker's ONE batched query per pass.
-/// The gamma estimators (DET-GD, RAN-GD) pass the candidate vector through
-/// to CountSupports by reference, so the source recognizes the pass batch
-/// by pointer identity and serves the precomputed merged totals with zero
-/// per-candidate key hashing. An estimator that probes anything else (e.g.
-/// IND-GD's full subset-domain histograms) is asking for counts no store
-/// materializes — a loud error, never a silent zero.
-class BatchSupportCountSource : public mining::SupportCountSource {
+/// The window's one count source: every Apriori pass of either kind asks it
+/// for its candidates' totals over rows [window_begin, total), in one batch.
+/// Each key this run has not seen yet is merged exactly once:
+///
+///   base   = stored - expired (a store hit), or a recount of the stored
+///            range from the substrate (a miss; zero when nothing is stored)
+///   value  = base + delta     (what the run commits to the store)
+///   answer = value + tail     (what the estimator gets; boolean answers
+///                              then take their Mobius transform)
+///
+/// The per-run memo of those entries serves every later query of the key
+/// (the second lattice walk) and is the set of entries the run commits.
+/// Only counting a key list on one segment and the final Mobius step depend
+/// on the kind.
+class WindowCountSource final : public mining::SupportCountSource,
+                                public data::PatternCountSource {
  public:
-  explicit BatchSupportCountSource(size_t num_rows) : num_rows_(num_rows) {}
+  struct Parts {
+    /// The store to merge against; null when the new window swallows it.
+    const CountStore* store = nullptr;
+    Segment expired;
+    Segment delta;
+    Segment tail;
+    /// Rebuilds the stored range from the substrate for miss recounts; null
+    /// when the window has no stored range.
+    std::function<Segment()> stored_range;
+  };
 
-  void SetBatch(const std::vector<mining::Itemset>* batch,
-                std::vector<uint64_t> totals) {
-    batch_ = batch;
-    totals_ = std::move(totals);
-  }
-
-  size_t num_rows() const override { return num_rows_; }
-
-  StatusOr<std::vector<uint64_t>> CountSupports(
-      const std::vector<mining::Itemset>& itemsets) override {
-    if (&itemsets != batch_) {
-      return Status::Internal(
-          "estimator queried outside the incremental pass batch");
-    }
-    return totals_;
-  }
-
- private:
-  size_t num_rows_;
-  const std::vector<mining::Itemset>* batch_ = nullptr;
-  std::vector<uint64_t> totals_;
-};
-
-/// PatternCountSource answering from per-pass merged PRE-Mobius superset
-/// totals, applying the Mobius transform per query — exactly how the local
-/// index and the dist coordinator derive exact-pattern counts, so the
-/// integers reaching the boolean estimators are identical.
-class MapPatternCountSource : public data::PatternCountSource {
- public:
-  MapPatternCountSource(size_t num_rows, size_t num_bits)
-      : num_rows_(num_rows), num_bits_(num_bits) {}
-
-  void Clear() { superset_counts_.clear(); }
-  void Set(const StoreKey& key, std::vector<int64_t> counts) {
-    superset_counts_[key] = std::move(counts);
-  }
+  WindowCountSource(Parts parts, bool boolean, size_t num_rows,
+                    size_t num_bits, size_t num_threads,
+                    IncrementalStats& stats)
+      : store_(parts.store),
+        boolean_(boolean),
+        num_rows_(num_rows),
+        num_bits_(num_bits),
+        num_threads_(num_threads),
+        stats_(stats),
+        expired_(std::move(parts.expired), num_threads),
+        delta_(std::move(parts.delta), num_threads),
+        tail_(std::move(parts.tail), num_threads),
+        stored_range_(std::move(parts.stored_range)) {}
 
   size_t num_rows() const override { return num_rows_; }
   size_t num_bits() const override { return num_bits_; }
 
+  StatusOr<std::vector<uint64_t>> CountSupports(
+      const std::vector<mining::Itemset>& itemsets) override {
+    std::vector<StoreKey> keys(itemsets.size());
+    for (size_t i = 0; i < itemsets.size(); ++i) {
+      keys[i] = KeyOfItemset(itemsets[i]);
+    }
+    const auto count_on = [&itemsets](const CountableSegment& segment,
+                                      const std::vector<size_t>& slots) {
+      std::vector<size_t> counts;
+      if (slots.size() == itemsets.size()) {  // the whole batch, in order
+        counts = segment.categorical.CountSupports(itemsets, segment.threads);
+      } else {
+        std::vector<mining::Itemset> subset;
+        subset.reserve(slots.size());
+        for (size_t i : slots) subset.push_back(itemsets[i]);
+        counts = segment.categorical.CountSupports(subset, segment.threads);
+      }
+      return std::vector<int64_t>(counts.begin(), counts.end());
+    };
+    FRAPP_ASSIGN_OR_RETURN(const std::vector<const Entry*> entries,
+                           Merge(std::move(keys), count_on));
+    std::vector<uint64_t> totals(entries.size());
+    for (size_t i = 0; i < entries.size(); ++i) {
+      totals[i] = static_cast<uint64_t>(entries[i]->answer[0]);
+    }
+    return totals;
+  }
+
   StatusOr<std::vector<int64_t>> PatternCounts(
       const std::vector<size_t>& positions) override {
-    const auto it = superset_counts_.find(KeyOfPositions(positions));
-    if (it == superset_counts_.end()) {
-      return Status::Internal(
-          "incremental walker queried an unmaterialized candidate");
+    FRAPP_ASSIGN_OR_RETURN(std::vector<std::vector<int64_t>> counts,
+                           PatternCountsBatch({positions}));
+    return std::move(counts[0]);
+  }
+
+  StatusOr<std::vector<std::vector<int64_t>>> PatternCountsBatch(
+      const std::vector<std::vector<size_t>>& candidates) override {
+    std::vector<StoreKey> keys(candidates.size());
+    for (size_t i = 0; i < candidates.size(); ++i) {
+      if (candidates[i].size() >
+          data::BooleanVerticalIndex::kMaxPatternLength) {
+        return Status::InvalidArgument("pattern length above the 2^k cap");
+      }
+      keys[i] = KeyOfPositions(candidates[i]);
     }
-    std::vector<int64_t> counts = it->second;
-    data::BooleanVerticalIndex::MobiusExactCounts(counts);
+    const auto count_on = [&candidates](const CountableSegment& segment,
+                                        const std::vector<size_t>& slots) {
+      std::vector<int64_t> out;
+      for (size_t i : slots) {
+        const std::vector<int64_t> counts =
+            segment.boolean.SupersetCounts(candidates[i], segment.threads);
+        out.insert(out.end(), counts.begin(), counts.end());
+      }
+      return out;
+    };
+    FRAPP_ASSIGN_OR_RETURN(const std::vector<const Entry*> entries,
+                           Merge(std::move(keys), count_on));
+    std::vector<std::vector<int64_t>> counts;
+    counts.reserve(entries.size());
+    for (const Entry* entry : entries) counts.push_back(entry->answer);
     return counts;
   }
 
+  /// Puts every entry counted this run (call once, after both walks).
+  void CommitEntries(CountStore& store) {
+    for (auto& [key, entry] : memo_) store.Put(key, std::move(entry.value));
+  }
+
  private:
+  struct Entry {
+    std::vector<int64_t> value;
+    std::vector<int64_t> answer;
+  };
+  using MemoSlot = std::pair<const StoreKey, Entry>;
+
+  /// Count vector length of a key: one count, or 2^k superset counts.
+  size_t Arity(const StoreKey& key) const {
+    return boolean_ ? size_t{1} << key.size() : 1;
+  }
+
+  /// The count vectors of batch `slots` on `segment`, concatenated in slot
+  /// order. Empty, standing for all zeros, when there is nothing to count.
+  template <typename CountOn>
+  static std::vector<int64_t> Count(const CountableSegment* segment,
+                                    const std::vector<size_t>& slots,
+                                    const CountOn& count_on) {
+    if (segment == nullptr || segment->rows == 0 || slots.empty()) return {};
+    return count_on(*segment, slots);
+  }
+
+  /// The one hit/miss/expiry/fallback merge; returns the entry of every key
+  /// in the batch.
+  template <typename CountOn>
+  StatusOr<std::vector<const Entry*>> Merge(std::vector<StoreKey> keys,
+                                            const CountOn& count_on) {
+    std::vector<MemoSlot*> batch(keys.size());
+    std::vector<size_t> fresh;  // batch slots of keys first seen now
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const auto [it, inserted] = memo_.try_emplace(std::move(keys[i]));
+      batch[i] = &*it;
+      if (inserted) fresh.push_back(i);
+    }
+
+    std::vector<const std::vector<int64_t>*> stored(fresh.size(), nullptr);
+    std::vector<size_t> hits;
+    std::vector<size_t> misses;
+    for (size_t j = 0; j < fresh.size(); ++j) {
+      const StoreKey& key = batch[fresh[j]]->first;
+      if (store_ != nullptr) stored[j] = store_->Find(key);
+      if (stored[j] != nullptr && stored[j]->size() != Arity(key)) {
+        return Status::Internal("stored count vector has the wrong arity");
+      }
+      (stored[j] != nullptr ? hits : misses).push_back(fresh[j]);
+    }
+    stats_.store_hits += hits.size();
+    stats_.store_misses += misses.size();
+
+    // A miss starts from zero unless the window has a stored range, which
+    // is recounted from the substrate: no perturbation, no source pass. It
+    // is built on the first miss only.
+    if (!misses.empty() && stored_range_ != nullptr) {
+      if (!fallback_.has_value()) {
+        fallback_.emplace(stored_range_(), num_threads_);
+      }
+      stats_.superset_fallbacks += misses.size();
+    }
+    const std::vector<int64_t> delta = Count(&delta_, fresh, count_on);
+    const std::vector<int64_t> tail = Count(&tail_, fresh, count_on);
+    const std::vector<int64_t> expired = Count(&expired_, hits, count_on);
+    const std::vector<int64_t> recounted =
+        Count(fallback_ ? &*fallback_ : nullptr, misses, count_on);
+
+    // Adds sign * flat[at, at + acc.size()) into acc.
+    const auto add = [](std::vector<int64_t>& acc,
+                        const std::vector<int64_t>& flat, size_t at,
+                        int64_t sign) {
+      if (flat.empty()) return;
+      for (size_t t = 0; t < acc.size(); ++t) acc[t] += sign * flat[at + t];
+    };
+    size_t at = 0;  // into delta and tail, which follow `fresh`
+    size_t hit_at = 0;
+    size_t miss_at = 0;
+    for (size_t j = 0; j < fresh.size(); ++j) {
+      MemoSlot& slot = *batch[fresh[j]];
+      const size_t n = Arity(slot.first);
+      std::vector<int64_t> value =
+          stored[j] != nullptr ? *stored[j] : std::vector<int64_t>(n, 0);
+      if (stored[j] != nullptr) {
+        add(value, expired, hit_at, -1);
+        hit_at += n;
+      } else {
+        add(value, recounted, miss_at, 1);
+        miss_at += n;
+      }
+      add(value, delta, at, 1);
+      std::vector<int64_t> answer = value;
+      add(answer, tail, at, 1);
+      at += n;
+      if (boolean_) data::BooleanVerticalIndex::MobiusExactCounts(answer);
+      slot.second = Entry{std::move(value), std::move(answer)};
+    }
+
+    std::vector<const Entry*> entries(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) entries[i] = &batch[i]->second;
+    return entries;
+  }
+
+  const CountStore* store_;
+  bool boolean_;
   size_t num_rows_;
   size_t num_bits_;
-  std::unordered_map<StoreKey, std::vector<int64_t>, StoreKeyHash>
-      superset_counts_;
+  size_t num_threads_;
+  IncrementalStats& stats_;
+  CountableSegment expired_;
+  CountableSegment delta_;
+  CountableSegment tail_;
+  std::function<Segment()> stored_range_;
+  std::optional<CountableSegment> fallback_;
+  std::unordered_map<StoreKey, Entry, StoreKeyHash> memo_;
 };
-
-void AddInto(std::vector<int64_t>& acc, const std::vector<int64_t>& v) {
-  for (size_t i = 0; i < acc.size(); ++i) acc[i] += v[i];
-}
-
-void SubFrom(std::vector<int64_t>& acc, const std::vector<int64_t>& v) {
-  for (size_t i = 0; i < acc.size(); ++i) acc[i] -= v[i];
-}
 
 }  // namespace
 
@@ -343,10 +445,10 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
     return Status::InvalidArgument("source factory returned no source");
   }
   // By value, NOT by reference: the source is released right after ingest
-  // (line ~450) to drop its table before the walk, and a source that owns
-  // its schema (generated in-memory tables, binary readers) takes the
-  // referent with it — the walk would then size its candidate loops from
-  // freed memory.
+  // to drop its table before the lattice walks, and a source that owns its
+  // schema (generated in-memory tables, binary readers) takes the referent
+  // with it — the walks would then size their candidate loops from freed
+  // memory.
   const data::CategoricalSchema schema = source->schema();
 
   StoreIdentity want = MakeStoreIdentity(spec, schema, options);
@@ -438,289 +540,47 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
     delta_substrate.push_back(SubstrateChunk{index.raw_bits()});
   }
 
-  const SegmentCounter expired_counter(
-      SegmentFromSubstrate(store, 0, expired_chunk_count, boolean,
-                           item_offsets, planes),
-      boolean, options.num_threads);
-  const SegmentCounter delta_counter(std::move(ingest.delta), boolean,
-                                     options.num_threads);
-  const SegmentCounter tail_counter(std::move(ingest.tail), boolean,
-                                    options.num_threads);
-  // The stored-range recount for superset fallbacks, reassembled from the
-  // live substrate chunks only if a candidate actually misses the store.
-  // No perturbation, no source pass: the store already holds the perturbed
-  // bits.
-  std::optional<SegmentCounter> fallback_counter;
-  const auto ensure_fallback = [&]() -> Status {
-    if (fallback_counter.has_value()) return Status::OK();
-    fallback_counter.emplace(
-        SegmentFromSubstrate(store, expired_chunk_count,
-                             store.substrate().size(), boolean, item_offsets,
-                             planes),
-        boolean, options.num_threads);
-    return Status::OK();
-  };
-
-  // The estimator consumes merged totals through a per-pass source: the
-  // support kind hands the batch straight through (pointer identity, no
-  // keying), the boolean kind keys pre-Mobius superset vectors by pattern.
-  const size_t window_rows = total - new_win;
-  std::optional<data::BooleanLayout> layout;
-  std::shared_ptr<BatchSupportCountSource> support_source;
-  std::shared_ptr<MapPatternCountSource> pattern_map;
-  std::unique_ptr<mining::SupportEstimator> estimator;
-  if (boolean) {
-    layout.emplace(schema);
-    pattern_map =
-        std::make_shared<MapPatternCountSource>(window_rows, layout->num_bits());
-    FRAPP_ASSIGN_OR_RETURN(estimator,
-                           mech->MakeBooleanCountSourceEstimator(pattern_map));
-  } else {
-    support_source = std::make_shared<BatchSupportCountSource>(window_rows);
-    FRAPP_ASSIGN_OR_RETURN(estimator,
-                           mech->MakeCountSourceEstimator(support_source));
+  // Expiry and miss recounts read the store's own substrate; the stored
+  // range is reassembled only if a candidate actually misses the store.
+  WindowCountSource::Parts parts;
+  parts.store = store_usable ? &store : nullptr;
+  parts.expired = SegmentFromSubstrate(store, 0, expired_chunk_count, boolean,
+                                       item_offsets, planes);
+  parts.delta = std::move(ingest.delta);
+  parts.tail = std::move(ingest.tail);
+  if (store_usable && growth_begin > new_win) {
+    parts.stored_range = [&]() {
+      return SegmentFromSubstrate(store, expired_chunk_count,
+                                  store.substrate().size(), boolean,
+                                  item_offsets, planes);
+    };
   }
+  const auto counts = std::make_shared<WindowCountSource>(
+      std::move(parts), boolean, total - new_win, boolean ? want.num_bits : 0,
+      options.num_threads, result.stats);
+  FRAPP_ASSIGN_OR_RETURN(
+      const std::unique_ptr<mining::SupportEstimator> estimator,
+      boolean ? mech->MakeBooleanCountSourceEstimator(counts)
+              : mech->MakeCountSourceEstimator(counts));
 
-  // ------------------------------------------------------------ the walk --
-  //
-  // Two interleaved Apriori walks over shared counts. The STRICT walk
-  // mirrors mining::MineFrequentItemsets at supmin step for step (same
-  // candidate generation code, same filter, same sort, same exit rules) and
-  // produces the result. The RETAINED walk runs at the store's retention
-  // threshold and decides what stays materialized for the next run. Each
-  // pass evaluates the union of both candidate lists, so the strict walk is
-  // never starved even when supmin has drifted below retention.
-  const size_t max_length =
-      options.mining.max_length == 0
-          ? schema.num_attributes()
-          : std::min(options.mining.max_length, schema.num_attributes());
+  // Two runs of the one lattice walk over the same source. The walk at the
+  // store's retention threshold decides what the next run finds stored; the
+  // walk at supmin is the result. Candidate generation is monotone in its
+  // input, so one walk's candidates contain the other's: when supmin >=
+  // retention the second walk is served entirely from the memo, otherwise
+  // it counts only the candidates the first walk never reached.
+  mining::AprioriOptions retained = options.mining;
+  retained.min_support = retention;
+  FRAPP_RETURN_IF_ERROR(
+      mining::MineFrequentItemsets(schema, *estimator, retained).status());
+  FRAPP_ASSIGN_OR_RETURN(
+      result.mined,
+      mining::MineFrequentItemsets(schema, *estimator, options.mining));
 
-  std::vector<mining::Itemset> strict_candidates;
-  for (size_t j = 0; j < schema.num_attributes(); ++j) {
-    for (size_t c = 0; c < schema.Cardinality(j); ++c) {
-      strict_candidates.push_back(mining::Itemset::FromSortedUnchecked(
-          {mining::Item{static_cast<uint16_t>(j), static_cast<uint16_t>(c)}}));
-    }
-  }
-  std::vector<mining::Itemset> retained_candidates = strict_candidates;
-  bool strict_open = true;
-
-  // Merged vectors destined for the store, applied only after the whole
-  // walk succeeds so a failed run leaves the store untouched. The support
-  // kind stores one scalar per candidate; keeping it flat avoids a heap
-  // vector per candidate per pass on the hot path.
-  std::vector<std::pair<StoreKey, std::vector<int64_t>>> pending;
-  std::vector<std::pair<StoreKey, int64_t>> pending_support;
-
-  for (size_t k = 1; k <= max_length; ++k) {
-    std::vector<mining::Itemset> unioned;
-    // Dedup map doubling as the strict walk's index into `unioned` (and
-    // into the pass's support vector).
-    std::unordered_map<mining::Itemset, size_t, mining::Itemset::Hash> slot;
-    slot.reserve((retained_candidates.size() + strict_candidates.size()) * 2);
-    for (const mining::Itemset& s : retained_candidates) {
-      if (slot.emplace(s, unioned.size()).second) unioned.push_back(s);
-    }
-    if (strict_open) {
-      for (const mining::Itemset& c : strict_candidates) {
-        if (slot.emplace(c, unioned.size()).second) unioned.push_back(c);
-      }
-    }
-    if (unioned.empty()) break;
-    const size_t n = unioned.size();
-
-    std::vector<StoreKey> keys(n);
-    std::vector<const std::vector<int64_t>*> stored(n, nullptr);
-    std::vector<size_t> hits;
-    std::vector<size_t> misses;
-
-    if (!boolean) {
-      // ---- support kind: flat counts end to end, no per-candidate heap
-      // vectors.
-      for (size_t i = 0; i < n; ++i) keys[i] = KeyOfItemset(unioned[i]);
-      FRAPP_ASSIGN_OR_RETURN(const std::vector<int64_t> delta_flat,
-                             delta_counter.CountFlat(unioned));
-      FRAPP_ASSIGN_OR_RETURN(const std::vector<int64_t> tail_flat,
-                             tail_counter.CountFlat(unioned));
-      for (size_t i = 0; i < n; ++i) {
-        stored[i] = store_usable ? store.Find(keys[i]) : nullptr;
-        if (stored[i] != nullptr && stored[i]->size() != 1) {
-          return Status::Internal("stored count vector has the wrong arity");
-        }
-        (stored[i] != nullptr ? hits : misses).push_back(i);
-      }
-      std::vector<int64_t> expired_flat;
-      if (!hits.empty() && expired_counter.rows() > 0) {
-        std::vector<mining::Itemset> sub_items;
-        sub_items.reserve(hits.size());
-        for (size_t i : hits) sub_items.push_back(unioned[i]);
-        FRAPP_ASSIGN_OR_RETURN(expired_flat,
-                               expired_counter.CountFlat(sub_items));
-      }
-      std::vector<int64_t> fallback_flat;
-      if (!misses.empty() && store_usable && growth_begin > new_win) {
-        FRAPP_RETURN_IF_ERROR(ensure_fallback());
-        std::vector<mining::Itemset> sub_items;
-        sub_items.reserve(misses.size());
-        for (size_t i : misses) sub_items.push_back(unioned[i]);
-        FRAPP_ASSIGN_OR_RETURN(fallback_flat,
-                               fallback_counter->CountFlat(sub_items));
-        result.stats.superset_fallbacks += misses.size();
-      }
-      std::vector<uint64_t> totals(n);
-      size_t hi = 0;
-      size_t mi = 0;
-      for (size_t i = 0; i < n; ++i) {
-        int64_t base;
-        if (stored[i] != nullptr) {
-          base = (*stored[i])[0];
-          if (!expired_flat.empty()) base -= expired_flat[hi];
-          ++hi;
-        } else {
-          base = fallback_flat.empty() ? 0 : fallback_flat[mi];
-          ++mi;
-        }
-        base += delta_flat[i];
-        pending_support.emplace_back(keys[i], base);
-        totals[i] = static_cast<uint64_t>(base + tail_flat[i]);
-      }
-      support_source->SetBatch(&unioned, std::move(totals));
-    } else {
-      // ---- boolean kind: 2^k pre-Mobius superset vectors per candidate.
-      std::vector<std::vector<size_t>> positions(n);
-      for (size_t i = 0; i < n; ++i) {
-        const std::vector<mining::Item>& items = unioned[i].items();
-        positions[i].reserve(items.size());
-        for (const mining::Item& item : items) {
-          positions[i].push_back(
-              layout->BitPosition(item.attribute, item.category));
-        }
-        keys[i] = KeyOfPositions(positions[i]);
-      }
-
-      FRAPP_ASSIGN_OR_RETURN(std::vector<std::vector<int64_t>> delta_counts,
-                             delta_counter.Count(unioned, positions));
-      FRAPP_ASSIGN_OR_RETURN(std::vector<std::vector<int64_t>> tail_counts,
-                             tail_counter.Count(unioned, positions));
-
-      for (size_t i = 0; i < n; ++i) {
-        stored[i] = store_usable ? store.Find(keys[i]) : nullptr;
-        if (stored[i] != nullptr &&
-            stored[i]->size() != delta_counts[i].size()) {
-          return Status::Internal("stored count vector has the wrong arity");
-        }
-        (stored[i] != nullptr ? hits : misses).push_back(i);
-      }
-
-      std::vector<std::vector<int64_t>> expired_counts;
-      if (!hits.empty() && expired_counter.rows() > 0) {
-        std::vector<mining::Itemset> sub_items;
-        std::vector<std::vector<size_t>> sub_positions;
-        for (size_t i : hits) {
-          sub_items.push_back(unioned[i]);
-          sub_positions.push_back(positions[i]);
-        }
-        FRAPP_ASSIGN_OR_RETURN(expired_counts,
-                               expired_counter.Count(sub_items, sub_positions));
-      }
-      std::vector<std::vector<int64_t>> fallback_counts;
-      if (!misses.empty() && store_usable && growth_begin > new_win) {
-        FRAPP_RETURN_IF_ERROR(ensure_fallback());
-        std::vector<mining::Itemset> sub_items;
-        std::vector<std::vector<size_t>> sub_positions;
-        for (size_t i : misses) {
-          sub_items.push_back(unioned[i]);
-          sub_positions.push_back(positions[i]);
-        }
-        FRAPP_ASSIGN_OR_RETURN(fallback_counts, fallback_counter->Count(
-                                                    sub_items, sub_positions));
-        result.stats.superset_fallbacks += misses.size();
-      }
-
-      pattern_map->Clear();
-      size_t hi = 0;
-      size_t mi = 0;
-      for (size_t i = 0; i < n; ++i) {
-        std::vector<int64_t> merged;
-        if (stored[i] != nullptr) {
-          merged = *stored[i];
-          if (!expired_counts.empty()) SubFrom(merged, expired_counts[hi]);
-          ++hi;
-        } else {
-          merged = fallback_counts.empty()
-                       ? std::vector<int64_t>(delta_counts[i].size(), 0)
-                       : fallback_counts[mi];
-          ++mi;
-        }
-        AddInto(merged, delta_counts[i]);
-        std::vector<int64_t> query = merged;
-        AddInto(query, tail_counts[i]);
-        pending.emplace_back(keys[i], std::move(merged));
-        pattern_map->Set(keys[i], std::move(query));
-      }
-    }
-    result.stats.store_hits += hits.size();
-    result.stats.store_misses += misses.size();
-
-    FRAPP_ASSIGN_OR_RETURN(const std::vector<double> supports,
-                           estimator->EstimateSupports(unioned));
-
-    // Strict walk: the exact MineFrequentItemsets pass, on the same support
-    // doubles the from-scratch estimator would produce.
-    if (strict_open && !strict_candidates.empty()) {
-      result.mined.candidates_per_pass.push_back(strict_candidates.size());
-      std::vector<mining::FrequentItemset> frequent;
-      for (const mining::Itemset& c : strict_candidates) {
-        const double s = supports[slot.at(c)];
-        if (s >= supmin) frequent.push_back(mining::FrequentItemset{c, s});
-      }
-      std::sort(frequent.begin(), frequent.end(),
-                [](const mining::FrequentItemset& a,
-                   const mining::FrequentItemset& b) {
-                  return a.itemset < b.itemset;
-                });
-      result.mined.by_length.push_back(std::move(frequent));
-      const std::vector<mining::FrequentItemset>& level =
-          result.mined.by_length.back();
-      if (level.empty() || k == max_length) {
-        strict_open = false;
-        strict_candidates.clear();
-      } else {
-        strict_candidates = mining::GenerateCandidates(level);
-      }
-    } else {
-      strict_open = false;
-      strict_candidates.clear();
-    }
-
-    // Retained walk: same machinery at the retention threshold, deciding
-    // the next pass's materialized superset. Estimated supports jitter as
-    // rows are appended, so borderline candidates flicker across the bar
-    // between runs and miss the store on reappearance — that is fine: a
-    // miss is a cheap substrate recount, while every extra retained entry
-    // is walk work on EVERY future run. A single threshold keeps the
-    // superset (and the per-pass union) as small as the margin allows.
-    std::vector<mining::FrequentItemset> retained;
-    for (size_t i = 0; i < n; ++i) {
-      if (supports[i] >= retention) {
-        retained.push_back(mining::FrequentItemset{unioned[i], supports[i]});
-      }
-    }
-    std::sort(retained.begin(), retained.end(),
-              [](const mining::FrequentItemset& a,
-                 const mining::FrequentItemset& b) {
-                return a.itemset < b.itemset;
-              });
-    if (retained.empty() || k == max_length) {
-      retained_candidates.clear();
-    } else {
-      retained_candidates = mining::GenerateCandidates(retained);
-    }
-  }
-
+  // Applied only after both walks succeed, so a failed run leaves the store
+  // untouched.
   store.BeginRun();
-  for (auto& [key, counts] : pending) store.Put(key, std::move(counts));
-  for (const auto& [key, count] : pending_support) store.Put(key, {count});
+  counts->CommitEntries(store);
   // Substrate bookkeeping mirrors the count algebra: expired chunks pop off
   // the front, delta chunks push on the back. A swallowed (unusable) store
   // drops every stale chunk it held.

@@ -9,19 +9,24 @@
 // that: it keeps per-candidate count vectors for rows [window_begin,
 // high_water) materialized in a CountStore, perturbs and counts only the
 // newly appended chunks (and the partial tail chunk, which is never
-// stored), vector-adds, and re-runs only the cheap Apriori lattice walk.
-// The mined result is BIT-IDENTICAL to PrivacyPipeline::Run over the full
-// window — the counts reaching the reconstruction estimators are the same
-// integers, so every double downstream is the same double.
+// stored), vector-adds, and re-runs only the cheap lattice walk — the same
+// mining::MineFrequentItemsets every engine ends in, fed by one window
+// count source instead of a full index. The mined result is BIT-IDENTICAL
+// to PrivacyPipeline::Run over the full window — the counts reaching the
+// reconstruction estimators are the same integers, so every double
+// downstream is the same double.
 //
 // WHAT is materialized: two complementary layers.
 //
-//  1. COUNTS of a candidate SUPERSET — every candidate whose estimated
-//     support clears a retention threshold fixed at store creation
-//     (min_support times (1 - superset_margin)). The superset walk mirrors
-//     Apriori's candidate generation at the lower threshold, so a later run
-//     whose supmin drifts anywhere above retention finds every candidate it
-//     evaluates already materialized.
+//  1. COUNTS of a candidate SUPERSET. Each run walks the lattice twice over
+//     its window count source: first at a retention threshold fixed at store
+//     creation (min_support times (1 - superset_margin)), then at supmin,
+//     which gives the result. The source merges each key once per run and
+//     commits every key either walk counted, so a later run whose supmin
+//     drifts anywhere above retention finds every candidate it evaluates
+//     already materialized. Keys are whatever the estimator asks for:
+//     candidate itemsets, a boolean candidate's bit positions, or IND-GD's
+//     subset-domain cells.
 //  2. The perturbed SUBSTRATE itself — the per-chunk bitmap-index planes of
 //     the perturbed rows [window_begin, high_water). Under the seeded-chunk
 //     contract these bits are immutable once written, so append pushes new

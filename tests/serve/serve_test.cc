@@ -7,8 +7,9 @@
 //     put, the result object is replayed bit-for-bit.
 //   - N identical concurrent queries coalesce into ONE mine (stats-asserted
 //     with the waiters provably parked before the run is released).
-//   - A sub-supmin drill-down re-perturbs NOTHING: delta_chunks == 0,
-//     tail_rows == 0, answered from the count store's materialized counts.
+//   - A sub-supmin drill-down re-perturbs NOTHING, for every mechanism:
+//     delta_chunks == 0, tail_rows == 0, answered from the count store's
+//     materialized counts.
 //   - Top-k and rule queries derive from the same cached mine.
 //   - Graceful shutdown delivers the response of an in-flight query before
 //     the connection dies.
@@ -144,6 +145,27 @@ TEST_P(BrokerMechanismTest, MineMatchesPipelineBitwise) {
   EXPECT_EQ(broker.stats().mine_runs, 1u);
 }
 
+TEST_P(BrokerMechanismTest, SubSupminDrillDownPerturbsNothing) {
+  QueryBroker broker(MakeOptions());
+  QueryRequest request = MakeRequest();
+  request.spec.kind = GetParam().kind;
+  request.min_support = 0.02;
+  ASSERT_TRUE(broker.Execute(request).ok());
+
+  // Below the first mine's supmin: a different result key (kMiss), but the
+  // same counting problem — answered from the store's materialized counts
+  // and perturbed substrate with ZERO re-perturbation.
+  request.min_support = 0.01;
+  const StatusOr<QueryResponse> drill = broker.Execute(request);
+  ASSERT_TRUE(drill.ok()) << drill.status().ToString();
+  EXPECT_EQ(drill->outcome, CacheOutcome::kMiss);
+  EXPECT_EQ(drill->delta_chunks, 0u);
+  EXPECT_EQ(drill->tail_rows, 0u);
+  EXPECT_GT(drill->store_hits, 0u);
+  ExpectSameMining(drill->result, Reference(request));
+  EXPECT_EQ(broker.stats().mine_runs, 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllMechanisms, BrokerMechanismTest,
     ::testing::Values(
@@ -252,26 +274,6 @@ TEST_F(ServeTest, BrokerCoalescesConcurrentIdenticalQueriesIntoOneMine) {
   EXPECT_EQ(stats.mine_runs, 1u);
   EXPECT_EQ(stats.coalesced, kClients - 1);
   ExpectSameMining(miss->result, Reference(request));
-}
-
-TEST_F(ServeTest, BrokerSubSupminDrillDownPerturbsNothing) {
-  QueryBroker broker(MakeOptions());
-  QueryRequest request = MakeRequest();
-  request.min_support = 0.02;
-  ASSERT_TRUE(broker.Execute(request).ok());
-
-  // Below the first mine's supmin: a different result key (kMiss), but the
-  // same counting problem — answered from the store's materialized counts
-  // and perturbed substrate with ZERO re-perturbation.
-  request.min_support = 0.01;
-  const StatusOr<QueryResponse> drill = broker.Execute(request);
-  ASSERT_TRUE(drill.ok()) << drill.status().ToString();
-  EXPECT_EQ(drill->outcome, CacheOutcome::kMiss);
-  EXPECT_EQ(drill->delta_chunks, 0u);
-  EXPECT_EQ(drill->tail_rows, 0u);
-  EXPECT_GT(drill->store_hits, 0u);
-  ExpectSameMining(drill->result, Reference(request));
-  EXPECT_EQ(broker.stats().mine_runs, 2u);
 }
 
 TEST_F(ServeTest, BrokerTopKDerivesFromCachedMine) {

@@ -1,12 +1,12 @@
 // The incremental mining claim: AppendAndMine over a count store is
 // BIT-IDENTICAL to a from-scratch PrivacyPipeline mine of the same window —
 // same itemsets, same support doubles, same candidate counts per pass —
-// across mechanisms (categorical DET-GD and boolean MASK), source kinds
-// (in-memory and binary file), thread counts, and append steps. Supporting
-// claims: supmin may drift anywhere above the store's retention threshold
-// with zero fallbacks, below it the mine still agrees (through recounts),
-// and window expiry by subtraction equals a direct mine of the surviving
-// window down to the saved store's bytes.
+// across all five mechanisms (categorical DET-GD, RAN-GD and IND-GD, boolean
+// MASK and C&P), source kinds (in-memory and binary file), thread counts,
+// and append steps. Supporting claims: supmin may drift anywhere above the
+// store's retention threshold with zero fallbacks, below it the mine still
+// agrees (through recounts), and window expiry by subtraction equals a
+// direct mine of the surviving window down to the saved store's bytes.
 
 #include "frapp/store/incremental_mine.h"
 
@@ -176,7 +176,13 @@ INSTANTIATE_TEST_SUITE_P(
         GridCase{"detgd-bin-2", dist::MechanismSpec::Kind::kDetGd, true, 2},
         GridCase{"mask-mem-1", dist::MechanismSpec::Kind::kMask, false, 1},
         GridCase{"mask-bin-1", dist::MechanismSpec::Kind::kMask, true, 1},
-        GridCase{"mask-bin-2", dist::MechanismSpec::Kind::kMask, true, 2}),
+        GridCase{"mask-bin-2", dist::MechanismSpec::Kind::kMask, true, 2},
+        GridCase{"rangd-mem-2", dist::MechanismSpec::Kind::kRanGd, false, 2},
+        GridCase{"rangd-bin-1", dist::MechanismSpec::Kind::kRanGd, true, 1},
+        GridCase{"cp-mem-1", dist::MechanismSpec::Kind::kCutPaste, false, 1},
+        GridCase{"cp-bin-2", dist::MechanismSpec::Kind::kCutPaste, true, 2},
+        GridCase{"indgd-mem-2", dist::MechanismSpec::Kind::kIndGd, false, 2},
+        GridCase{"indgd-bin-1", dist::MechanismSpec::Kind::kIndGd, true, 1}),
     [](const ::testing::TestParamInfo<GridCase>& info) {
       std::string name = info.param.name;
       for (char& c : name) {

@@ -4,7 +4,10 @@
 # bytes on every machine, every run, every thread count. Each mechanism's
 # report over the 16384-row seeded census table is byte-diffed against its
 # checked-in fixture in tests/golden/; any drift in the perturbation, the
-# mining order, or the report formatting fails loudly here.
+# mining order, or the report formatting fails loudly here. The same report
+# must also come out of the count-store engine: `frapp mine --count-store`
+# runs twice in a temp dir (first creating the store, then reloading it),
+# and both reports are byte-diffed against the same fixture.
 #
 # Usage: tools/golden_check.sh [build-dir] [mechanism]
 #   build-dir  default: <repo-root>/build
@@ -34,6 +37,25 @@ perturb_seed=7
 minsup=0.02
 top=20
 
+tmp_dir="$(mktemp -d)"
+trap 'rm -rf "$tmp_dir"' EXIT
+
+# check_report LABEL FIXTURE ENGINE-FLAG...: one mine, byte-diffed.
+check_report() {
+  local label="$1" golden="$2"
+  shift 2
+  if ! "$frapp" mine --dataset census --mechanism "$mech" "$@" \
+      --rows "$rows" --gen-seed "$gen_seed" --seed "$perturb_seed" \
+      --minsup "$minsup" --top "$top" 2>"$tmp_dir/err" \
+      | diff -u "$golden" -; then
+    echo "FAIL: $mech $label report drifted from $golden" >&2
+    cat "$tmp_dir/err" >&2
+    failures=$((failures + 1))
+  else
+    echo "OK: $mech $label matches $(basename "$golden")"
+  fi
+}
+
 failures=0
 for mech in "${mechanisms[@]}"; do
   golden="$repo_root/tests/golden/mine_${mech}_census16k.txt"
@@ -41,19 +63,14 @@ for mech in "${mechanisms[@]}"; do
     echo "FATAL: missing fixture $golden" >&2
     exit 1
   fi
-  if ! "$frapp" mine --dataset census --mechanism "$mech" --run-pipeline \
-      --rows "$rows" --gen-seed "$gen_seed" --seed "$perturb_seed" \
-      --minsup "$minsup" --top "$top" 2>/dev/null \
-      | diff -u "$golden" -; then
-    echo "FAIL: $mech report drifted from $golden" >&2
-    failures=$((failures + 1))
-  else
-    echo "OK: $mech matches $(basename "$golden")"
-  fi
+  check_report pipeline "$golden" --run-pipeline
+  store="$tmp_dir/${mech}.frappcnt"
+  check_report store-create "$golden" --count-store "$store"
+  check_report store-reload "$golden" --count-store "$store"
 done
 
 if [[ "$failures" -ne 0 ]]; then
-  echo "golden check: $failures mechanism(s) drifted" >&2
+  echo "golden check: $failures report(s) drifted" >&2
   exit 1
 fi
 echo "golden check: all reports byte-identical to fixtures"

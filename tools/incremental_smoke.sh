@@ -12,12 +12,15 @@
 #   4. every store-backed report is byte-diffed against a from-scratch
 #      `--run-pipeline` mine of the same grown file
 #
-# Usage: tools/incremental_smoke.sh [build-dir]   (default: <repo-root>/build)
+# Usage: tools/incremental_smoke.sh [build-dir] [mechanism]
+#   build-dir  default: <repo-root>/build
+#   mechanism  det-gd|ran-gd|mask|cp|ind-gd; default: det-gd
 
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${1:-$repo_root/build}"
+mech="${2:-det-gd}"
 frapp="$build_dir/frapp_cli"
 
 if [[ ! -x "$frapp" ]]; then
@@ -40,17 +43,17 @@ store="$tmp_dir/census.frappcnt"
 
 check_parity() {
   local label="$1"
-  "$frapp" mine --dataset census --in "$table" --count-store "$store" \
-    > "$tmp_dir/inc.out" 2> "$tmp_dir/inc.err"
-  "$frapp" mine --dataset census --run-pipeline --in "$table" \
-    > "$tmp_dir/full.out" 2> /dev/null
+  "$frapp" mine --dataset census --mechanism "$mech" --in "$table" \
+    --count-store "$store" > "$tmp_dir/inc.out" 2> "$tmp_dir/inc.err"
+  "$frapp" mine --dataset census --mechanism "$mech" --run-pipeline \
+    --in "$table" > "$tmp_dir/full.out" 2> /dev/null
   if ! diff "$tmp_dir/full.out" "$tmp_dir/inc.out"; then
-    echo "FAIL: $label store-backed report differs from the pipeline" >&2
+    echo "FAIL: $mech $label store-backed report differs from the pipeline" >&2
     cat "$tmp_dir/inc.err" >&2
     exit 1
   fi
   cat "$tmp_dir/inc.err"
-  echo "OK: $label parity holds"
+  echo "OK: $mech $label parity holds"
 }
 
 echo "=== first mine: store created ==="
@@ -82,4 +85,4 @@ if ! grep -q "1 delta chunk(s) perturbed" "$tmp_dir/inc.err"; then
   exit 1
 fi
 
-echo "incremental smoke passed: store-backed re-mines are byte-identical"
+echo "incremental smoke passed ($mech): store-backed re-mines are byte-identical"
