@@ -28,8 +28,6 @@ struct Coordinator::Internals {
   std::atomic<uint64_t> merge_nanos{0};
   std::atomic<uint64_t> workers_failed{0};
   std::atomic<uint64_t> ranges_reassigned{0};
-  std::atomic<uint64_t> ranges_appended{0};
-  std::atomic<uint64_t> rows_appended{0};
   std::atomic<uint64_t> deadline_retries{0};
   std::atomic<uint64_t> pings_sent{0};
   std::atomic<uint64_t> rounds_restarted{0};
@@ -46,8 +44,7 @@ class Coordinator::RemoteSupportCountSource
       : coordinator_(coordinator) {}
 
   size_t num_rows() const override {
-    return static_cast<size_t>(coordinator_->total_rows_ -
-                               coordinator_->options_.begin_row);
+    return static_cast<size_t>(coordinator_->total_rows_);
   }
 
   StatusOr<std::vector<uint64_t>> CountSupports(
@@ -102,8 +99,7 @@ class Coordinator::RemotePatternCountSource
       : coordinator_(coordinator) {}
 
   size_t num_rows() const override {
-    return static_cast<size_t>(coordinator_->total_rows_ -
-                               coordinator_->options_.begin_row);
+    return static_cast<size_t>(coordinator_->total_rows_);
   }
   size_t num_bits() const override {
     return static_cast<size_t>(coordinator_->num_bits_);
@@ -212,14 +208,6 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Connect(
   if (workers.empty()) {
     return Status::InvalidArgument("Connect needs at least one worker");
   }
-  if (options.begin_row % data::kShardAlignmentRows != 0) {
-    return Status::InvalidArgument(
-        "begin_row must be a multiple of the chunk quantum (" +
-        std::to_string(data::kShardAlignmentRows) + ")");
-  }
-  if (options.begin_row > total_rows) {
-    return Status::InvalidArgument("begin_row is past total_rows");
-  }
   std::unique_ptr<Coordinator> coordinator(
       new Coordinator(std::move(workers), schema, spec, options));
 
@@ -240,19 +228,11 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Connect(
     }
   }
 
-  // One contiguous chunk-aligned range per worker over the session window
-  // [begin_row, total_rows) — the same partition function the in-process
-  // pipeline shards with, offset to the window start (begin_row is
-  // chunk-aligned, so every sub-range stays on the global chunk grid).
-  // Workers past the number of chunk quanta get an empty range (and count
-  // zeros, harmlessly).
-  std::vector<data::RowRange> plan = data::ShardedTable::Plan(
-      total_rows - options.begin_row, coordinator->workers_.size(),
-      data::kShardAlignmentRows);
-  for (data::RowRange& range : plan) {
-    range.begin += options.begin_row;
-    range.end += options.begin_row;
-  }
+  // One contiguous chunk-aligned range per worker — the same partition
+  // function the in-process pipeline shards with. Workers past the number
+  // of chunk quanta get an empty range (and count zeros, harmlessly).
+  const std::vector<data::RowRange> plan = data::ShardedTable::Plan(
+      total_rows, coordinator->workers_.size(), data::kShardAlignmentRows);
   const uint64_t fingerprint =
       data::SchemaFingerprint(coordinator->schema_);
 
@@ -363,11 +343,7 @@ void Coordinator::MarkDead(size_t w, std::vector<RowSpan>* orphans) {
   slot.rows = 0;
 }
 
-Status Coordinator::ReassignOrphans(std::vector<RowSpan> orphans,
-                                    bool appending) {
-  std::atomic<uint64_t>& assign_counter = appending
-                                              ? internals_->ranges_appended
-                                              : internals_->ranges_reassigned;
+Status Coordinator::ReassignOrphans(std::vector<RowSpan> orphans) {
   while (!orphans.empty()) {
     std::vector<size_t> alive;
     for (size_t w = 0; w < workers_.size(); ++w) {
@@ -445,7 +421,7 @@ Status Coordinator::ReassignOrphans(std::vector<RowSpan> orphans,
         workers_[w].ranges.push_back(span);
         workers_[w].rows += ack->num_rows;
         seen_bits[w] = std::max(seen_bits[w], ack->num_bits);
-        assign_counter.fetch_add(1, std::memory_order_relaxed);
+        internals_->ranges_reassigned.fetch_add(1, std::memory_order_relaxed);
       }
     });
     for (size_t w = 0; w < workers_.size(); ++w) {
@@ -467,36 +443,12 @@ Status Coordinator::ReassignOrphans(std::vector<RowSpan> orphans,
   for (const WorkerSlot& slot : workers_) {
     if (slot.alive) covered += slot.rows;
   }
-  if (covered != total_rows_ - options_.begin_row) {
+  if (covered != total_rows_) {
     return Status::FailedPrecondition(
         "workers ingested " + std::to_string(covered) + " rows, expected " +
-        std::to_string(total_rows_ - options_.begin_row) +
+        std::to_string(total_rows_) +
         " — worker data does not cover the assigned ranges");
   }
-  return Status::OK();
-}
-
-Status Coordinator::AppendRows(size_t new_total_rows) {
-  if (shut_down_) {
-    return Status::FailedPrecondition("session already shut down");
-  }
-  if (new_total_rows < total_rows_) {
-    return Status::InvalidArgument(
-        "AppendRows cannot shrink the table: sessions only support growth");
-  }
-  if (new_total_rows == total_rows_) return Status::OK();
-  if (total_rows_ % data::kShardAlignmentRows != 0) {
-    return Status::FailedPrecondition(
-        "append requires the previous total (" + std::to_string(total_rows_) +
-        ") to be chunk-aligned: a partial tail chunk cannot be extended once "
-        "its rows are perturbed");
-  }
-  const uint64_t old_total = total_rows_;
-  total_rows_ = new_total_rows;
-  FRAPP_RETURN_IF_ERROR(ReassignOrphans({RowSpan{old_total, new_total_rows}},
-                                        /*appending=*/true));
-  internals_->rows_appended.fetch_add(new_total_rows - old_total,
-                                      std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -648,15 +600,8 @@ DistStats Coordinator::stats() const {
       internals_->workers_failed.load(std::memory_order_relaxed);
   stats.ranges_reassigned =
       internals_->ranges_reassigned.load(std::memory_order_relaxed);
-  stats.ranges_appended =
-      internals_->ranges_appended.load(std::memory_order_relaxed);
-  stats.rows_appended =
-      internals_->rows_appended.load(std::memory_order_relaxed);
-  stats.begin_row = options_.begin_row;
-  stats.total_chunks = common::NumChunks(total_rows_ - options_.begin_row,
-                                         data::kShardAlignmentRows);
-  stats.appended_chunks = common::NumChunks(stats.rows_appended,
-                                            data::kShardAlignmentRows);
+  stats.total_chunks =
+      common::NumChunks(total_rows_, data::kShardAlignmentRows);
   stats.deadline_retries =
       internals_->deadline_retries.load(std::memory_order_relaxed);
   stats.pings_sent = internals_->pings_sent.load(std::memory_order_relaxed);

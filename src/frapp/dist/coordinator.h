@@ -70,13 +70,6 @@ struct CoordinatorOptions {
   /// Master seed of the deterministic perturbation (worker-side).
   uint64_t perturb_seed = 7;
 
-  /// First global row of the mined window (chunk-aligned). Workers are
-  /// assigned [begin_row, total_rows) only; rows below it are never
-  /// ingested or counted. This is how an incremental session serves a
-  /// DELTA range (the count store already holds [window_begin, begin_row))
-  /// or a windowed stream whose early rows have expired.
-  uint64_t begin_row = 0;
-
   /// Threads fanning per-worker calls out (0 = one per worker). Blocking
   /// transport I/O runs on the shared common::ThreadPool. Never affects
   /// results.
@@ -108,18 +101,8 @@ struct DistStats {
   /// Chunk-aligned ranges handed to survivors via AssignRange.
   uint64_t ranges_reassigned = 0;
 
-  /// Add-only growth (AppendRows): rows and ranges assigned past the
-  /// initial total without re-ingesting anything already held.
-  uint64_t rows_appended = 0;
-  uint64_t ranges_appended = 0;
-
-  /// Chunk accounting of the session window [begin_row, total_rows):
-  /// total_chunks covers the whole window (partial tail chunk included);
-  /// appended_chunks covers only rows added by AppendRows — together they
-  /// make cache/delta effectiveness visible in every dist report line.
-  uint64_t begin_row = 0;
+  /// Chunks covering [0, total_rows), the partial tail chunk included.
   uint64_t total_chunks = 0;
-  uint64_t appended_chunks = 0;
 
   /// Receive waits that tripped their deadline and were retried on the
   /// same connection.
@@ -185,18 +168,6 @@ class Coordinator {
 
   ~Coordinator();
 
-  /// Add-only data growth: assigns the new rows [previous total,
-  /// new_total_rows) across the live fleet via the same chunk-aligned
-  /// AssignRange machinery fault recovery uses. Nothing already ingested is
-  /// touched — growth costs only the delta, which is what makes a
-  /// long-lived session's re-mine after append incremental on the ingest
-  /// side (PR6 index caches keep the old ranges warm across sessions too).
-  /// Requires the previous total to be chunk-aligned (a partial tail chunk
-  /// cannot be extended: perturbation streams are chunk-granular, and a
-  /// worker's ingested rows are immutable). On failure the session must be
-  /// abandoned: coverage of the new total is no longer guaranteed.
-  Status AppendRows(size_t new_total_rows);
-
   /// One liveness round: pings every live worker and waits for Pongs (under
   /// the retry policy). Workers that fail the probe are declared dead and
   /// their ranges re-assigned to survivors, exactly as during a counting
@@ -260,9 +231,8 @@ class Coordinator {
   /// (chunk-aligned sub-plans, so perturbation streams stay global), then
   /// re-verifies total row coverage. A worker failing ITS re-assignment is
   /// declared dead too and the loop continues; kUnavailable once nobody is
-  /// left. `appending` selects which stats counter the assignments land on
-  /// (recovery re-assignments vs add-only growth).
-  Status ReassignOrphans(std::vector<RowSpan> orphans, bool appending = false);
+  /// left.
+  Status ReassignOrphans(std::vector<RowSpan> orphans);
 
   /// Sends `request` to every live worker, then collects one response per
   /// live worker (in slot order). The send loop finishes before any

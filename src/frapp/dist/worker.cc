@@ -1,6 +1,5 @@
 #include "frapp/dist/worker.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "frapp/core/mechanism.h"
@@ -10,6 +9,7 @@
 #include "frapp/dist/mechanism_spec.h"
 #include "frapp/dist/wire.h"
 #include "frapp/mining/sharded_vertical_index.h"
+#include "frapp/pipeline/ingest_range.h"
 
 namespace frapp {
 namespace dist {
@@ -34,43 +34,6 @@ struct LocalState {
                : categorical.num_rows();
   }
 };
-
-/// Streams the source's shards intersected with [begin, end) through
-/// core::PerturbIntoIndex. Every sub-shard keeps its GLOBAL row position,
-/// so the seeded-chunk streams — and therefore the perturbed bits — equal
-/// the single-process pass over the same rows.
-StatusOr<CachedRangeIndex> IngestRange(uint64_t range_begin,
-                                       uint64_t range_end, uint64_t seed,
-                                       const WorkerOptions& options,
-                                       pipeline::TableSource& source,
-                                       const LocalState& state) {
-  const data::RowRange range{static_cast<size_t>(range_begin),
-                             static_cast<size_t>(range_end)};
-  // Seekable sources jump straight to the range (binary files seek); others
-  // keep yielding from row 0 and the loop below drops the leading rows.
-  FRAPP_RETURN_IF_ERROR(source.SkipToRow(range.begin));
-
-  CachedRangeIndex built;
-  pipeline::PulledShard shard;
-  while (true) {
-    FRAPP_ASSIGN_OR_RETURN(const bool more, source.NextShard(&shard));
-    if (!more) break;
-    const size_t shard_begin = shard.view.global_begin;
-    const size_t shard_end = shard_begin + shard.view.size();
-    if (shard_end <= range.begin) continue;  // wholly before the range
-    if (shard_begin >= range.end) break;     // global order: nothing follows
-    // Intersect with the assigned range. Both range bounds and every shard
-    // begin are chunk-aligned, so the sub-shard still starts on the chunk
-    // grid and seeded perturbation draws the same global streams.
-    FRAPP_RETURN_IF_ERROR(core::PerturbIntoIndex(
-        *state.mechanism,
-        shard.view.Slice(std::max(shard_begin, range.begin),
-                         std::min(shard_end, range.end)),
-        seed, options.num_threads, built));
-    shard.owned.reset();  // source rows dropped once indexed
-  }
-  return built;
-}
 
 /// Cache-aware ingest of one chunk-aligned range: serves from the
 /// process-lifetime IndexCache when the (source, fingerprint, spec, seed,
@@ -98,12 +61,22 @@ StatusOr<CachedRangeIndex> BuildOrFetchRange(uint64_t range_begin,
     return Status::FailedPrecondition(
         "worker source schema differs from worker schema");
   }
+  // Every slice keeps its GLOBAL row position, so the seeded-chunk streams,
+  // and with them the perturbed bits, equal the single-process pass.
+  const pipeline::IndexFn perturb = [&state](const data::ShardView& shard,
+                                             size_t num_threads,
+                                             core::ShardIndexes& out) {
+    return core::PerturbIntoIndex(*state.mechanism, shard,
+                                  state.hello.perturb_seed, num_threads, out);
+  };
   FRAPP_ASSIGN_OR_RETURN(
-      CachedRangeIndex built,
-      IngestRange(range_begin, range_end, state.hello.perturb_seed, options,
-                  *source, state));
-  if (cacheable) options.index_cache->Insert(key, built);
-  return built;
+      pipeline::IngestResult ingest,
+      pipeline::IngestRange(*source,
+                            {static_cast<size_t>(range_begin),
+                             static_cast<size_t>(range_end)},
+                            options.num_threads, perturb));
+  if (cacheable) options.index_cache->Insert(key, ingest.indexes);
+  return std::move(ingest.indexes);
 }
 
 /// Handshake: validates the Hello against local reality, then perturbs and
@@ -124,11 +97,6 @@ Status HandleHello(const Message& message, const WorkerOptions& options,
         std::to_string(hello.schema_fingerprint) + ", worker " +
         std::to_string(local_fingerprint) +
         " — the two sides would disagree on category ids");
-  }
-  if (hello.range_begin % data::kShardAlignmentRows != 0) {
-    return Status::InvalidArgument(
-        "assigned range must start on the chunk quantum (" +
-        std::to_string(data::kShardAlignmentRows) + " rows)");
   }
   FRAPP_ASSIGN_OR_RETURN(state->mechanism,
                          MakeMechanism(hello.spec, options.schema));
@@ -158,11 +126,6 @@ Status HandleAssignRange(const Message& message, const WorkerOptions& options,
                          LocalState* state, RangeAck* ack) {
   FRAPP_ASSIGN_OR_RETURN(const AssignRange assign,
                          DecodeAssignRange(message));
-  if (assign.range_begin % data::kShardAlignmentRows != 0) {
-    return Status::InvalidArgument(
-        "assigned range must start on the chunk quantum (" +
-        std::to_string(data::kShardAlignmentRows) + " rows)");
-  }
   FRAPP_ASSIGN_OR_RETURN(
       CachedRangeIndex built,
       BuildOrFetchRange(assign.range_begin, assign.range_end, options,

@@ -107,7 +107,7 @@ struct PipelineStats {
   /// eight bytes per perturbed row.
   size_t peak_inflight_perturbed_bytes = 0;
 
-  /// Nanoseconds the pipeline's pull loop spent blocked in
+  /// Nanoseconds the ingest driver (IngestRange) spent blocked in
   /// TableSource::NextShard. Without prefetch this IS the ingest cost on
   /// the critical path; with prefetch it is only the residual latency the
   /// producer failed to hide.
@@ -138,7 +138,8 @@ class PrivacyPipeline {
 
   const PipelineOptions& options() const { return options_; }
 
-  /// Streams `source`'s shards through core::PerturbIntoIndex, then mines
+  /// Streams `source`'s shards through IngestRange into
+  /// core::PerturbIntoIndex, then mines
   /// with the mechanism's reconstructing estimator over the merged indexes.
   /// The mechanism holds no per-run state. With options().prefetch_source the
   /// source is driven from a producer thread for the duration of the call

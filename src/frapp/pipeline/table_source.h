@@ -78,8 +78,8 @@ class TableSource {
   /// in-memory plan drops whole leading shards); sources that can only move
   /// forward by producing rows (CSV parse, generator stream) ignore the
   /// hint. Never skips PAST `row`, so a caller that drops leading rows
-  /// itself — the frapp/dist worker assigned rows [begin, end) does — is
-  /// correct over every source and merely faster over seekable ones.
+  /// itself — IngestRange does, for every engine — is correct over every
+  /// source and merely faster over seekable ones.
   virtual Status SkipToRow(size_t row) {
     (void)row;
     return Status::OK();

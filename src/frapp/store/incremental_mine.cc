@@ -18,6 +18,7 @@
 #include "frapp/mining/count_source.h"
 #include "frapp/mining/sharded_vertical_index.h"
 #include "frapp/mining/vertical_index.h"
+#include "frapp/pipeline/ingest_range.h"
 
 namespace frapp {
 namespace store {
@@ -41,76 +42,6 @@ double DoubleFromBits(uint64_t bits) {
 /// Accumulated per-slice indexes of one perturbed row segment (expired,
 /// delta, tail, or the fallback's stored range).
 using Segment = core::ShardIndexes;
-
-struct IngestOutput {
-  Segment delta;
-  Segment tail;
-  /// Global end row of the last shard seen (0 when nothing was pulled).
-  size_t observed_end = 0;
-};
-
-/// One forward pass over the source from growth_begin, splitting
-/// [growth_begin, end-of-stream) at the last whole-chunk boundary into
-/// delta and tail. The DELTA is perturbed and indexed ONE CHUNK PER SLICE:
-/// each resulting index covers exactly kChunk rows, so its raw bitmap
-/// planes are the substrate chunks the store materializes. The split point
-/// is only known once the stream ends, so shards are processed with
-/// one-shard lookahead: a shard is perturbed when its successor arrives
-/// (then it is provably not final and ends chunk-aligned, per the
-/// TableSource contract), and the final shard is split at
-/// W = floor(total / chunk) * chunk.
-StatusOr<IngestOutput> IngestGrowth(pipeline::TableSource& source,
-                                    core::Mechanism& mech, uint64_t seed,
-                                    size_t num_threads, size_t growth_begin) {
-  IngestOutput out;
-  FRAPP_RETURN_IF_ERROR(source.SkipToRow(growth_begin));
-
-  const auto delta_chunks = [&](const data::ShardView& view, size_t glo,
-                                size_t gend) -> Status {
-    for (size_t c = glo; c < gend; c += kChunk) {
-      FRAPP_RETURN_IF_ERROR(core::PerturbIntoIndex(
-          mech, view.Slice(c, c + kChunk), seed, num_threads, out.delta));
-    }
-    return Status::OK();
-  };
-
-  const auto process = [&](const pipeline::PulledShard& shard,
-                           bool is_final) -> Status {
-    const size_t b = shard.view.global_begin;
-    const size_t e = b + shard.view.size();
-    const size_t glo = std::max(b, growth_begin);
-    if (glo >= e) return Status::OK();
-    if (!is_final) {
-      // Non-final shards end chunk-aligned.
-      return delta_chunks(shard.view, glo, e);
-    }
-    const size_t whole = e / kChunk * kChunk;  // >= glo: both aligned
-    if (glo < whole) {
-      FRAPP_RETURN_IF_ERROR(delta_chunks(shard.view, glo, whole));
-    }
-    if (whole < e) {
-      FRAPP_RETURN_IF_ERROR(core::PerturbIntoIndex(
-          mech, shard.view.Slice(std::max(glo, whole), e), seed, num_threads,
-          out.tail));
-    }
-    return Status::OK();
-  };
-
-  std::optional<pipeline::PulledShard> prev;
-  while (true) {
-    pipeline::PulledShard cur;
-    FRAPP_ASSIGN_OR_RETURN(const bool more, source.NextShard(&cur));
-    if (!more) break;
-    if (cur.view.size() == 0) continue;
-    if (prev.has_value()) FRAPP_RETURN_IF_ERROR(process(*prev, false));
-    prev = std::move(cur);
-  }
-  if (prev.has_value()) {
-    FRAPP_RETURN_IF_ERROR(process(*prev, true));
-    out.observed_end = prev->view.global_begin + prev->view.size();
-  }
-  return out;
-}
 
 /// Reassembles the indexes of substrate chunks [chunk_begin, chunk_end)
 /// into a countable segment — the zero-perturbation path that serves both
@@ -503,12 +434,39 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   result.stats.store_created =
       store.high_water() == 0 && store.num_entries() == 0;
 
+  // The growth is indexed ONE CHUNK PER INDEX: each whole-chunk index's raw
+  // bitmap planes are a substrate chunk the store materializes. Only the
+  // stream's last shard may end off the chunk grid (IngestRange enforces
+  // it), so only the last index can be partial: that is the tail.
+  const pipeline::IndexFn per_chunk = [&](const data::ShardView& shard,
+                                          size_t num_threads,
+                                          core::ShardIndexes& out) {
+    const size_t end = shard.global_begin + shard.size();
+    for (size_t c = shard.global_begin; c < end; c += kChunk) {
+      FRAPP_RETURN_IF_ERROR(core::PerturbIntoIndex(
+          *mech, shard.Slice(c, std::min(c + kChunk, end)),
+          options.perturb_seed, num_threads, out));
+    }
+    return Status::OK();
+  };
   FRAPP_ASSIGN_OR_RETURN(
-      IngestOutput ingest,
-      IngestGrowth(*source, *mech, options.perturb_seed, options.num_threads,
-                   growth_begin));
-  const size_t total = source->TotalRows().value_or(
-      std::max(ingest.observed_end, growth_begin));
+      pipeline::IngestResult ingest,
+      pipeline::IngestRange(*source, {growth_begin, pipeline::kOpenEnd},
+                            options.num_threads, per_chunk));
+  Segment& delta = ingest.indexes;
+  Segment tail;
+  tail.num_rows = delta.num_rows % kChunk;  // the growth begins aligned
+  if (tail.num_rows > 0) {
+    if (boolean) {
+      tail.boolean.push_back(std::move(delta.boolean.back()));
+      delta.boolean.pop_back();
+    } else {
+      tail.categorical.push_back(std::move(delta.categorical.back()));
+      delta.categorical.pop_back();
+    }
+    delta.num_rows -= tail.num_rows;
+  }
+  const size_t total = source->TotalRows().value_or(ingest.stats.end_row);
   source.reset();
   if (total < growth_begin) {
     return Status::FailedPrecondition(
@@ -531,12 +489,11 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   // The delta indexes ARE the new substrate chunks: capture their raw
   // planes before the counters consume them.
   std::vector<SubstrateChunk> delta_substrate;
-  delta_substrate.reserve(ingest.delta.categorical.size() +
-                          ingest.delta.boolean.size());
-  for (const mining::VerticalIndex& index : ingest.delta.categorical) {
+  delta_substrate.reserve(delta.categorical.size() + delta.boolean.size());
+  for (const mining::VerticalIndex& index : delta.categorical) {
     delta_substrate.push_back(SubstrateChunk{index.raw_bits()});
   }
-  for (const data::BooleanVerticalIndex& index : ingest.delta.boolean) {
+  for (const data::BooleanVerticalIndex& index : delta.boolean) {
     delta_substrate.push_back(SubstrateChunk{index.raw_bits()});
   }
 
@@ -546,8 +503,8 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   parts.store = store_usable ? &store : nullptr;
   parts.expired = SegmentFromSubstrate(store, 0, expired_chunk_count, boolean,
                                        item_offsets, planes);
-  parts.delta = std::move(ingest.delta);
-  parts.tail = std::move(ingest.tail);
+  parts.delta = std::move(delta);
+  parts.tail = std::move(tail);
   if (store_usable && growth_begin > new_win) {
     parts.stored_range = [&]() {
       return SegmentFromSubstrate(store, expired_chunk_count,

@@ -50,7 +50,7 @@
 // expired rows contributed. The source never needs to cover expired rows
 // again.
 //
-// The driver opens its TableSource through a factory rather than holding
+// AppendAndMine opens its TableSource through a factory rather than holding
 // one open stream: incremental ingest wants to seek (binary sources skip
 // straight to the delta), and a CLI can hand over a path instead of a live
 // handle.

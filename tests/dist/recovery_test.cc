@@ -299,6 +299,44 @@ TEST_F(RecoveryTest, AssignRangeRefusalStaysFatalInsteadOfCascading) {
       << coordinator.status().ToString();
 }
 
+TEST_F(RecoveryTest, WorkerRefusesRangesThatBeginOffTheChunkGrid) {
+  // A real ServeWorker, not a scripted transport: a Hello or an AssignRange
+  // whose range begins off the chunk grid is answered with an
+  // InvalidArgument Error frame, and the session ends with that status.
+  constexpr uint64_t kChunk = data::kShardAlignmentRows;
+  const auto expect_refused = [](Transport& endpoint, InProcessWorker& worker,
+                                 const Message& request) {
+    ASSERT_TRUE(endpoint.Send(request).ok());
+    const StatusOr<Message> reply = endpoint.Receive();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    ASSERT_EQ(reply->type, MessageType::kError);
+    EXPECT_EQ(DecodeError(*reply).code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(worker.Join().code(), StatusCode::kInvalidArgument);
+  };
+  HelloRequest hello;
+  hello.schema_fingerprint = data::SchemaFingerprint(table_->schema());
+  hello.perturb_seed = kSeed;
+  hello.range_begin = 100;
+  hello.range_end = kChunk;
+
+  InProcessWorker refuses_hello(MakeWorkerOptions(*table_));
+  expect_refused(*refuses_hello.TakeCoordinatorEndpoint(), refuses_hello,
+                 EncodeHello(hello));
+
+  InProcessWorker refuses_assign(MakeWorkerOptions(*table_));
+  std::unique_ptr<Transport> endpoint =
+      refuses_assign.TakeCoordinatorEndpoint();
+  hello.range_begin = 0;
+  ASSERT_TRUE(endpoint->Send(EncodeHello(hello)).ok());
+  const StatusOr<Message> ack = endpoint->Receive();
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  ASSERT_EQ(ack->type, MessageType::kHelloAck);
+  AssignRange assign;
+  assign.range_begin = kChunk + 100;
+  assign.range_end = 2 * kChunk;
+  expect_refused(*endpoint, refuses_assign, EncodeAssignRange(assign));
+}
+
 TEST_F(RecoveryTest, CheckHealthPingsEveryWorker) {
   MechanismSpec spec;
   DistStats stats;

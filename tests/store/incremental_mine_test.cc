@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <ostream>
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "frapp/data/census.h"
+#include "frapp/data/csv.h"
 #include "frapp/data/shard_io.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/pipeline/privacy_pipeline.h"
@@ -408,6 +411,41 @@ TEST_F(IncrementalMineTest, RejectsMismatchedStoreAndBackwardWindows) {
   // Unaligned window: refused.
   options.window_begin_row = 100;
   EXPECT_FALSE(AppendAndMine(cs, spec, factory, options).ok());
+}
+
+TEST_F(IncrementalMineTest, RefusesCsvSourceShorterThanTheHighWater) {
+  // A CSV stream learns its row count only at its end. A file truncated
+  // below the store's high water must be refused, not mined as if it had
+  // not changed.
+  dist::MechanismSpec spec;
+  IncrementalOptions options;
+  options.mining.min_support = 0.02;
+  options.source_id = "census-truncated";
+  const std::string path = ::testing::TempDir() + "/frapp_truncated_" +
+                           std::to_string(::getpid()) + ".csv";
+  const auto write_rows = [&](size_t rows) {
+    StatusOr<data::CategoricalTable> prefix =
+        data::CopyRowRange(*full_, {0, rows});
+    ASSERT_TRUE(prefix.ok());
+    ASSERT_TRUE(data::WriteCsv(*prefix, path).ok());
+  };
+  const SourceFactory factory =
+      [&]() -> StatusOr<std::unique_ptr<pipeline::TableSource>> {
+    FRAPP_ASSIGN_OR_RETURN(pipeline::CsvTableSource source,
+                           pipeline::CsvTableSource::Open(path, full_->schema()));
+    return std::unique_ptr<pipeline::TableSource>(
+        std::make_unique<pipeline::CsvTableSource>(std::move(source)));
+  };
+
+  CountStore cs(MakeStoreIdentity(spec, full_->schema(), options));
+  write_rows(3 * kChunk);
+  ASSERT_TRUE(AppendAndMine(cs, spec, factory, options).ok());
+  write_rows(kChunk + 100);
+  const StatusOr<IncrementalResult> truncated =
+      AppendAndMine(cs, spec, factory, options);
+  std::remove(path.c_str());
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.status().code(), StatusCode::kFailedPrecondition);
 }
 
 // Regression: the CLI and the serve broker hand AppendAndMine sources that

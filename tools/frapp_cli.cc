@@ -489,11 +489,7 @@ int CmdMineDistributed(const Flags& flags,
   const dist::DistStats stats = coordinator->stats();
   std::cerr << "dist: " << stats.num_workers << " worker(s), "
             << stats.total_rows << " rows (" << stats.total_chunks
-            << " chunk(s)";
-  if (stats.rows_appended > 0) {
-    std::cerr << ", " << stats.appended_chunks << " appended";
-  }
-  std::cerr << "), " << stats.requests_sent
+            << " chunk(s)), " << stats.requests_sent
             << " requests, " << stats.bytes_sent << " B out, "
             << stats.bytes_received << " B in, merge "
             << stats.merge_nanos / 1000000.0 << " ms\n";
