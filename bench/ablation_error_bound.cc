@@ -44,10 +44,11 @@ int main() {
   // Pre-perturb once per run; evaluate all targets on each run.
   const int runs = 40;
   std::vector<std::vector<double>> estimates(targets.size());
-  random::Pcg64 rng(123);
   for (int run = 0; run < runs; ++run) {
-    const data::CategoricalTable perturbed =
-        bench::Unwrap(perturber.Perturb(census, rng), "perturb");
+    const data::CategoricalTable perturbed = bench::Unwrap(
+        perturber.PerturbShardSeeded(data::ShardView::Whole(census),
+                                     /*seed=*/123 + run),
+        "perturb");
     for (size_t t = 0; t < targets.size(); ++t) {
       uint64_t n_cs = 1;
       for (const mining::Item& item : targets[t].items()) {

@@ -3,6 +3,8 @@
 // while the straightforward CDF-scan algorithm costs O(prod_j |S_j|) — so
 // adding attributes grows the naive cost geometrically but the efficient
 // cost only linearly. Also measures MASK / C&P perturbation throughput.
+// Every perturber runs its one row loop, the seeded-chunk shard form the
+// engines and `frapp perturb` share.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include "frapp/core/mask_scheme.h"
 #include "frapp/core/naive_perturber.h"
 #include "frapp/core/randomized_gamma.h"
+#include "frapp/core/seeded_chunking.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/census.h"
 
@@ -47,9 +50,9 @@ void BM_EfficientGammaPerturb(benchmark::State& state) {
   const data::CategoricalSchema schema = PowerSchema(m);
   const data::CategoricalTable table = RandomTable(schema, 1000);
   auto perturber = *core::GammaDiagonalPerturber::Create(schema, 19.0);
-  random::Pcg64 rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.Perturb(table, rng));
+    benchmark::DoNotOptimize(
+        perturber.PerturbShardSeeded(data::ShardView::Whole(table), 2));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
   state.counters["domain"] = static_cast<double>(schema.DomainSize());
@@ -73,26 +76,31 @@ void BM_NaiveCdfPerturb(benchmark::State& state) {
 BENCHMARK(BM_NaiveCdfPerturb)->DenseRange(2, 8, 2);
 
 // The pre-alias sequential per-column Bernoulli loop, kept as the in-run
-// baseline for the divergence-column kernel.
+// baseline for the divergence-column kernel; it draws from the same
+// seeded-chunk streams.
 void BM_SequentialGammaPerturb(benchmark::State& state) {
   const size_t m = static_cast<size_t>(state.range(0));
   const data::CategoricalSchema schema = PowerSchema(m);
   const data::CategoricalTable table = RandomTable(schema, 1000);
   auto matrix = *core::GammaDiagonalMatrix::Create(19.0, schema.DomainSize());
   std::vector<size_t> cardinalities(m, 4);
-  random::Pcg64 rng(2);
   std::vector<uint8_t> record(m);
   std::vector<uint8_t> perturbed(m);
   for (auto _ : state) {
     data::CategoricalTable out = *data::CategoricalTable::Create(schema);
     out.Reserve(table.num_rows());
-    for (size_t i = 0; i < table.num_rows(); ++i) {
-      for (size_t j = 0; j < m; ++j) record[j] = table.Value(i, j);
-      core::PerturbRecordDiagonalForm(record, cardinalities, schema.DomainSize(),
-                                      matrix.DiagonalValue(),
-                                      matrix.OffDiagonalValue(), rng, &perturbed);
-      (void)out.AppendRow(perturbed);
-    }
+    core::internal::ForEachSeededChunk(
+        table.num_rows(), /*global_begin=*/0, /*seed=*/2, /*num_threads=*/1,
+        [&](size_t begin, size_t end, random::Pcg64& rng) {
+          for (size_t i = begin; i < end; ++i) {
+            for (size_t j = 0; j < m; ++j) record[j] = table.Value(i, j);
+            core::PerturbRecordDiagonalForm(
+                record, cardinalities, schema.DomainSize(),
+                matrix.DiagonalValue(), matrix.OffDiagonalValue(), rng,
+                &perturbed);
+            (void)out.AppendRow(perturbed);
+          }
+        });
     benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
@@ -107,7 +115,8 @@ void BM_SeededGammaPerturb(benchmark::State& state) {
   auto perturber = *core::GammaDiagonalPerturber::Create(schema, 19.0);
   const size_t threads = static_cast<size_t>(state.range(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.PerturbSeeded(table, 99, threads));
+    benchmark::DoNotOptimize(
+        perturber.PerturbShardSeeded(data::ShardView::Whole(table), 99, threads));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
@@ -119,9 +128,9 @@ void BM_RandomizedGammaPerturb(benchmark::State& state) {
   const double x = 1.0 / (19.0 + schema.DomainSize() - 1.0);
   auto perturber =
       *core::RandomizedGammaPerturber::Create(schema, 19.0, 19.0 * x / 2.0);
-  random::Pcg64 rng(4);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(perturber.Perturb(table, rng));
+    benchmark::DoNotOptimize(
+        perturber.PerturbShardSeeded(data::ShardView::Whole(table), 4));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
@@ -132,9 +141,9 @@ void BM_MaskPerturb(benchmark::State& state) {
   const data::CategoricalTable table = RandomTable(schema, 1000);
   const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(table);
   auto scheme = *core::MaskScheme::CalibrateForGamma(19.0, 6);
-  random::Pcg64 rng(5);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.Perturb(onehot, rng));
+    benchmark::DoNotOptimize(
+        scheme.PerturbShardSeeded(onehot, /*global_begin=*/0, 5));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
@@ -145,9 +154,9 @@ void BM_CutPastePerturb(benchmark::State& state) {
   const data::CategoricalTable table = RandomTable(schema, 1000);
   const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(table);
   auto scheme = *core::CutPasteScheme::Create(3, 0.494, 6, 23);
-  random::Pcg64 rng(6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.Perturb(onehot, rng));
+    benchmark::DoNotOptimize(
+        scheme.PerturbShardSeeded(onehot, /*global_begin=*/0, 6));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }

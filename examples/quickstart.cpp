@@ -54,8 +54,8 @@ int main() {
   // --- Client-side perturbation (gamma-diagonal, O(M) per record). --------
   StatusOr<core::GammaDiagonalPerturber> perturber =
       core::GammaDiagonalPerturber::Create(*schema, gamma);
-  random::Pcg64 rng(42);
-  StatusOr<data::CategoricalTable> perturbed = perturber->Perturb(*original, rng);
+  StatusOr<data::CategoricalTable> perturbed = perturber->PerturbShardSeeded(
+      data::ShardView::Whole(*original), /*seed=*/42);
   if (!perturbed.ok()) {
     std::cerr << perturbed.status().ToString() << "\n";
     return 1;

@@ -53,20 +53,12 @@ class CutPasteScheme {
   /// record_items.
   double CutSizeProbability(size_t z) const;
 
-  /// Applies the operator to every record.
-  StatusOr<data::BooleanTable> Perturb(const data::BooleanTable& table,
-                                       random::Pcg64& rng) const;
-
-  /// Deterministic seeded form on the global seeded-chunk grid (see
-  /// core/seeded_chunking.h): depends only on (table, seed), and any
-  /// chunk-aligned shard partition concatenates bit-for-bit.
-  StatusOr<data::BooleanTable> PerturbSeeded(const data::BooleanTable& table,
-                                             uint64_t seed,
-                                             size_t num_threads = 1) const;
-
-  /// Shard form of PerturbSeeded: perturbs all rows of `onehot` (one shard's
-  /// one-hot encoding) with the chunk streams of its global position;
-  /// `global_begin` must be chunk-aligned.
+  /// Applies the operator to every row of `onehot` (one shard's one-hot
+  /// encoding) on the global seeded-chunk grid (see
+  /// core/seeded_chunking.h): `global_begin` is the global row index of the
+  /// shard's first row and must be chunk-aligned. The output depends only
+  /// on (rows, global position, seed), and any chunk-aligned shard
+  /// partition concatenates bit for bit.
   StatusOr<data::BooleanTable> PerturbShardSeeded(const data::BooleanTable& onehot,
                                                   size_t global_begin,
                                                   uint64_t seed,
@@ -79,19 +71,12 @@ class CutPasteScheme {
   /// Spectral condition number of PartialSupportMatrix(k).
   StatusOr<double> ConditionNumberForLength(size_t itemset_length) const;
 
-  /// Estimates a k-itemset's support fraction from the perturbed table:
-  /// counts partial supports with popcount(row & mask) and solves Q x = y.
-  /// `item_mask` must have exactly k bits set. For k > K the system is
+  /// Estimates a k-itemset's support fraction by solving Q x = y on its
+  /// partial-support histogram: y[j] = #perturbed rows containing exactly j
+  /// of the k items, num_rows = table size. For k > K the system is
   /// structurally singular (only the <= K cut items carry itemset
   /// information through the channel) and the estimate is 0 — the paper's
   /// "C&P does not work after 3-length itemsets" behaviour.
-  StatusOr<double> EstimateItemsetSupport(const data::BooleanTable& perturbed,
-                                          uint64_t item_mask, size_t itemset_length) const;
-
-  /// Solve half of EstimateItemsetSupport, on a precomputed partial-support
-  /// histogram: y[j] = #perturbed rows containing exactly j of the k items,
-  /// num_rows = table size. Lets callers supply the histogram from a
-  /// vertical index instead of a row scan.
   StatusOr<double> ReconstructFromHitHistogram(const linalg::Vector& y,
                                                size_t num_rows,
                                                size_t itemset_length) const;

@@ -52,11 +52,6 @@ struct FrappDesign {
   /// RanGdMechanism.
   std::unique_ptr<Mechanism> mechanism;
 
-  /// Perturbs `original` once with the mechanism's own perturber, in row
-  /// order on `rng`: the sequential client batch of `frapp perturb`.
-  StatusOr<data::CategoricalTable> Perturb(
-      const data::CategoricalTable& original, random::Pcg64& rng) const;
-
   /// Multi-line human-readable description of the design.
   std::string Summary() const;
 };

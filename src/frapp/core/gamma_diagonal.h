@@ -167,7 +167,7 @@ class GammaPerturbPlan {
   std::vector<double> suffix_minus_one_;  // n / n_j - 1 per column j
 };
 
-/// Table-level perturber using the deterministic gamma-diagonal matrix and
+/// Client-side perturber using the deterministic gamma-diagonal matrix and
 /// the O(1)-divergence-sampling kernel (alias method over the precomputed
 /// per-column match probabilities).
 class GammaDiagonalPerturber {
@@ -176,35 +176,14 @@ class GammaDiagonalPerturber {
   static StatusOr<GammaDiagonalPerturber> Create(const data::CategoricalSchema& schema,
                                                  double gamma);
 
-  /// Perturbs every record of `table` (whose schema must match), consuming
-  /// randomness from `rng` sequentially.
-  StatusOr<data::CategoricalTable> Perturb(const data::CategoricalTable& table,
-                                           random::Pcg64& rng) const;
-
-  /// Deterministic, optionally multi-threaded perturbation: rows are split
-  /// into fixed-size chunks, chunk c draws from its own Pcg64 stream derived
-  /// from (seed, c), and threads only schedule chunks — so the output is
-  /// bit-identical for a fixed seed at EVERY thread count (0 = hardware
-  /// concurrency).
-  StatusOr<data::CategoricalTable> PerturbSeeded(const data::CategoricalTable& table,
-                                                 uint64_t seed,
-                                                 size_t num_threads = 1) const;
-
-  /// Perturbs only rows [range.begin, range.end) of `table` into a fresh
-  /// table of range-size rows, drawing randomness from the GLOBAL chunk
-  /// streams of the seeded contract — so concatenating the outputs of any
-  /// chunk-aligned partition reproduces PerturbSeeded(table, seed) bit for
-  /// bit. `range` must satisfy the seeded-chunk alignment (begin on a chunk
-  /// boundary, end on one or at the table end).
-  StatusOr<data::CategoricalTable> PerturbShardSeeded(
-      const data::CategoricalTable& table, const data::RowRange& range,
-      uint64_t seed, size_t num_threads = 1) const;
-
-  /// Streaming form: perturbs the rows of `shard` (a window whose buffer
-  /// need not be the whole table) with the chunk streams of its GLOBAL
-  /// position — the primitive behind both the in-memory overload above and
-  /// the pipeline's CSV/generator ingest, which never materialize a full
-  /// table.
+  /// Perturbs the rows of `shard` (a window whose buffer need not be the
+  /// whole table; ShardView::Whole perturbs a table) into a fresh table of
+  /// shard-size rows. Rows are split into fixed-size chunks on the GLOBAL
+  /// chunk grid and chunk c draws from its own Pcg64 stream derived from
+  /// (seed, c), while threads only schedule chunks: the output is
+  /// bit-identical at EVERY thread count (0 = hardware concurrency), and
+  /// concatenating the outputs of any chunk-aligned partition reproduces the
+  /// whole table's. `shard` must start on a chunk boundary.
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
@@ -213,7 +192,7 @@ class GammaDiagonalPerturber {
   StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
-  /// The per-row sampler behind every Perturb* form: divergence column from
+  /// The per-row sampler behind both shard forms: divergence column from
   /// the alias table, then the plan's row fill (see core/seeded_chunking.h).
   template <typename Emit>
   void SampleRow(const uint8_t* const* in_cols, size_t i, random::Pcg64& rng,

@@ -22,19 +22,6 @@ StatusOr<IndependentColumnScheme> IndependentColumnScheme::Create(
   return IndependentColumnScheme(schema, gamma, per_attr, std::move(stay));
 }
 
-StatusOr<data::CategoricalTable> IndependentColumnScheme::Perturb(
-    const data::CategoricalTable& table, random::Pcg64& rng) const {
-  return internal::PerturbRowsInOrder(table, *this, rng);
-}
-
-StatusOr<data::CategoricalTable> IndependentColumnScheme::PerturbSeeded(
-    const data::CategoricalTable& table, uint64_t seed,
-    size_t num_threads) const {
-  return PerturbShardSeeded(
-      data::ShardView{&table, data::RowRange{0, table.num_rows()}, 0}, seed,
-      num_threads);
-}
-
 StatusOr<data::CategoricalTable> IndependentColumnScheme::PerturbShardSeeded(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
   return internal::PerturbShardColumns(shard, *this, seed, num_threads);

@@ -45,19 +45,10 @@ class IndependentColumnScheme {
   double gamma() const { return gamma_; }
   double per_attribute_gamma() const { return per_attribute_gamma_; }
 
-  /// Perturbs each column independently with its gamma-diagonal matrix.
-  StatusOr<data::CategoricalTable> Perturb(const data::CategoricalTable& table,
-                                           random::Pcg64& rng) const;
-
-  /// Deterministic seeded form on the global seeded-chunk grid: depends only
-  /// on (table, seed); chunk-aligned shard partitions concatenate
-  /// bit-for-bit (see core/seeded_chunking.h).
-  StatusOr<data::CategoricalTable> PerturbSeeded(const data::CategoricalTable& table,
-                                                 uint64_t seed,
-                                                 size_t num_threads = 1) const;
-
-  /// Shard form over a ShardView (buffer + global position), the streaming
-  /// pipeline's perturbation primitive.
+  /// Perturbs each column of the rows of `shard` independently with its
+  /// gamma-diagonal matrix, on the global seeded-chunk grid (see
+  /// core/seeded_chunking.h): the output depends only on (rows, global
+  /// position, seed), and chunk-aligned partitions concatenate bit for bit.
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
@@ -66,7 +57,7 @@ class IndependentColumnScheme {
   StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
-  /// The per-row sampler behind every Perturb* form (see
+  /// The per-row sampler behind both shard forms (see
   /// core/seeded_chunking.h): each attribute value, in attribute order,
   /// through its own gamma-diagonal matrix — kept with probability stay_j,
   /// else replaced by one of the other card_j - 1 values uniformly.

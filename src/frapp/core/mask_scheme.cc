@@ -1,9 +1,7 @@
 #include "frapp/core/mask_scheme.h"
 
-#include <algorithm>
 #include <cmath>
 
-#include "frapp/common/parallel.h"
 #include "frapp/core/seeded_chunking.h"
 
 namespace frapp {
@@ -35,78 +33,20 @@ double MaskScheme::ConditionNumberForLength(size_t itemset_length) const {
   return std::pow(1.0 / (2.0 * p_ - 1.0), static_cast<double>(itemset_length));
 }
 
-StatusOr<data::BooleanTable> MaskScheme::Perturb(const data::BooleanTable& table,
-                                                 random::Pcg64& rng) const {
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
-                         data::BooleanTable::CreateEmpty(table.num_bits()));
-  const double flip = 1.0 - p_;
-  const size_t bits = table.num_bits();
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    uint64_t flip_mask = 0;
-    for (size_t b = 0; b < bits; ++b) {
-      if (rng.NextBernoulli(flip)) flip_mask |= (1ull << b);
-    }
-    out.AppendRow(table.RowBits(i) ^ flip_mask);
-  }
-  return out;
-}
-
-StatusOr<data::BooleanTable> MaskScheme::PerturbSeeded(
-    const data::BooleanTable& table, uint64_t seed, size_t num_threads) const {
-  return PerturbShardSeeded(table, /*global_begin=*/0, seed, num_threads);
-}
-
 StatusOr<data::BooleanTable> MaskScheme::PerturbShardSeeded(
     const data::BooleanTable& onehot, size_t global_begin, uint64_t seed,
     size_t num_threads) const {
-  if (global_begin % internal::kPerturbChunkRows != 0) {
-    return Status::InvalidArgument(
-        "shard does not start on a seeded chunk boundary");
-  }
-  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
-                         data::BooleanTable::CreateEmpty(onehot.num_bits()));
-  const size_t len = onehot.num_rows();
-  for (size_t i = 0; i < len; ++i) out.AppendRow(0);
   const double flip = 1.0 - p_;
   const size_t bits = onehot.num_bits();
-  internal::ForEachSeededChunk(
-      len, global_begin, seed, num_threads,
-      [&](size_t begin, size_t end, random::Pcg64& rng) {
-        for (size_t i = begin; i < end; ++i) {
-          uint64_t flip_mask = 0;
-          for (size_t b = 0; b < bits; ++b) {
-            if (rng.NextBernoulli(flip)) flip_mask |= (1ull << b);
-          }
-          out.SetRowBits(i, onehot.RowBits(i) ^ flip_mask);
+  return internal::PerturbOneHotRows(
+      onehot, global_begin, seed, num_threads,
+      [&](uint64_t row, random::Pcg64& rng) {
+        uint64_t flip_mask = 0;
+        for (size_t b = 0; b < bits; ++b) {
+          if (rng.NextBernoulli(flip)) flip_mask |= (1ull << b);
         }
+        return row ^ flip_mask;
       });
-  return out;
-}
-
-StatusOr<double> MaskScheme::EstimateItemsetSupport(
-    const data::BooleanTable& perturbed,
-    const std::vector<size_t>& bit_positions) const {
-  const size_t k = bit_positions.size();
-  if (k == 0) return Status::InvalidArgument("empty itemset");
-  if (k > 20) return Status::InvalidArgument("itemset too long for 2^k counting");
-  for (size_t pos : bit_positions) {
-    if (pos >= perturbed.num_bits()) {
-      return Status::OutOfRange("bit position out of range");
-    }
-  }
-
-  // Count all 2^k observed patterns on the itemset's bit positions.
-  const size_t patterns = 1ull << k;
-  std::vector<double> counts(patterns, 0.0);
-  for (size_t i = 0; i < perturbed.num_rows(); ++i) {
-    const uint64_t row = perturbed.RowBits(i);
-    size_t idx = 0;
-    for (size_t b = 0; b < k; ++b) {
-      idx |= static_cast<size_t>((row >> bit_positions[b]) & 1u) << b;
-    }
-    counts[idx] += 1.0;
-  }
-  return ReconstructFromPatternCounts(std::move(counts), perturbed.num_rows());
 }
 
 StatusOr<double> MaskScheme::ReconstructFromPatternCounts(

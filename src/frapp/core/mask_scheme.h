@@ -52,39 +52,23 @@ class MaskScheme {
   /// (1 / (2p - 1))^k.
   double ConditionNumberForLength(size_t itemset_length) const;
 
-  /// Flips every bit of every row independently with probability 1 - p.
-  StatusOr<data::BooleanTable> Perturb(const data::BooleanTable& table,
-                                       random::Pcg64& rng) const;
-
-  /// Deterministic seeded form: rows are split into the global seeded-chunk
-  /// grid (core/seeded_chunking.h) and each chunk draws its own RNG stream,
-  /// so the output depends only on (table, seed) — never on the thread
-  /// count — and any chunk-aligned shard partition concatenates bit-for-bit
-  /// to the monolithic pass.
-  StatusOr<data::BooleanTable> PerturbSeeded(const data::BooleanTable& table,
-                                             uint64_t seed,
-                                             size_t num_threads = 1) const;
-
-  /// Shard form of PerturbSeeded: perturbs all rows of `onehot` (the one-hot
-  /// encoding of one shard) with the chunk streams of its global position.
-  /// `global_begin` is the global row index of the shard's first row and
-  /// must be chunk-aligned.
+  /// Flips every bit of every row of `onehot` (the one-hot encoding of one
+  /// shard) independently with probability 1 - p, on the global
+  /// seeded-chunk grid (core/seeded_chunking.h): `global_begin` is the
+  /// global row index of the shard's first row and must be chunk-aligned.
+  /// The output depends only on (rows, global position, seed), never on the
+  /// thread count, and any chunk-aligned shard partition concatenates bit
+  /// for bit to the whole table's.
   StatusOr<data::BooleanTable> PerturbShardSeeded(const data::BooleanTable& onehot,
                                                   size_t global_begin,
                                                   uint64_t seed,
                                                   size_t num_threads = 1) const;
 
-  /// Reconstructs the original count of the all-ones pattern on the given
-  /// bit positions from the perturbed table: counts all 2^k patterns, then
-  /// applies the inverse flip transform along each bit axis. Returns the
-  /// estimated support FRACTION (may be negative under noise).
-  StatusOr<double> EstimateItemsetSupport(const data::BooleanTable& perturbed,
-                                          const std::vector<size_t>& bit_positions) const;
-
-  /// Inversion half of EstimateItemsetSupport, on precomputed pattern
-  /// counts: counts[idx] = #perturbed rows whose k bits equal pattern idx
-  /// (bit b of idx = b-th itemset position), num_rows = table size. Lets
-  /// callers supply counts from a vertical index instead of a row scan.
+  /// Reconstructs the original support FRACTION of the all-ones pattern on
+  /// k bit positions (may be negative under noise) from the perturbed
+  /// pattern counts: counts[idx] = #perturbed rows whose k bits equal
+  /// pattern idx (bit b of idx = b-th itemset position), num_rows = table
+  /// size. Applies the inverse flip transform along each bit axis.
   StatusOr<double> ReconstructFromPatternCounts(std::vector<double> counts,
                                                size_t num_rows) const;
 

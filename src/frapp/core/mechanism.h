@@ -56,8 +56,9 @@ class Mechanism {
   // mechanism declares which index it builds: categorical shards perturb
   // straight into mining::VerticalIndex bitmap planes (DET-GD, RAN-GD,
   // IND-GD); one-hot boolean rows are indexed by data::BooleanVerticalIndex
-  // (MASK, C&P). The sequential Perturb(table, rng) forms of the perturbers
-  // and schemes remain as statistical oracles for tests and ablation benches.
+  // (MASK, C&P). The perturbers and schemes have no other row loop: `frapp
+  // perturb` writes this same seeded-chunk stream (PerturbShard over the
+  // whole table).
 
   /// Representation of a perturbed shard.
   enum class ShardKind { kCategorical, kBoolean };
@@ -119,8 +120,6 @@ class DetGdMechanism : public Mechanism {
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
       std::shared_ptr<mining::SupportCountSource> source) override;
-
-  const GammaDiagonalPerturber& perturber() const { return perturber_; }
 
  private:
   DetGdMechanism(data::CategoricalSchema schema, double gamma,

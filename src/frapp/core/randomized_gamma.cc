@@ -32,26 +32,6 @@ StatusOr<RandomizedGammaPerturber> RandomizedGammaPerturber::Create(
                                   kind);
 }
 
-StatusOr<data::CategoricalTable> RandomizedGammaPerturber::Perturb(
-    const data::CategoricalTable& table, random::Pcg64& rng) const {
-  return internal::PerturbRowsInOrder(table, *this, rng);
-}
-
-StatusOr<data::CategoricalTable> RandomizedGammaPerturber::PerturbSeeded(
-    const data::CategoricalTable& table, uint64_t seed,
-    size_t num_threads) const {
-  return PerturbShardSeeded(table, data::RowRange{0, table.num_rows()}, seed,
-                            num_threads);
-}
-
-StatusOr<data::CategoricalTable> RandomizedGammaPerturber::PerturbShardSeeded(
-    const data::CategoricalTable& table, const data::RowRange& range,
-    uint64_t seed, size_t num_threads) const {
-  FRAPP_RETURN_IF_ERROR(internal::ValidateShardRange(range, table.num_rows()));
-  return PerturbShardSeeded(data::ShardView{&table, range, range.begin}, seed,
-                            num_threads);
-}
-
 StatusOr<data::CategoricalTable> RandomizedGammaPerturber::PerturbShardSeeded(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
   return internal::PerturbShardColumns(shard, *this, seed, num_threads);

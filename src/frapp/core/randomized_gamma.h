@@ -27,7 +27,7 @@
 namespace frapp {
 namespace core {
 
-/// Table-level perturber drawing a fresh matrix realization per record
+/// Client-side perturber drawing a fresh matrix realization per record
 /// (= per client: each record belongs to a distinct client in the paper's
 /// B2C model).
 class RandomizedGammaPerturber {
@@ -39,29 +39,11 @@ class RandomizedGammaPerturber {
       const data::CategoricalSchema& schema, double gamma, double alpha,
       random::RandomizationKind kind = random::RandomizationKind::kUniform);
 
-  /// Perturbs every record with an independent matrix realization, consuming
-  /// randomness from `rng` sequentially. Per record, the first-divergence
-  /// column is inverted from a single uniform against the precomputed
-  /// per-column thresholds (see GammaPerturbPlan) — no per-column Bernoulli
-  /// chain, no per-row temporaries.
-  StatusOr<data::CategoricalTable> Perturb(const data::CategoricalTable& table,
-                                           random::Pcg64& rng) const;
-
-  /// Deterministic, optionally multi-threaded variant: output depends only
-  /// on (table, seed), never on the thread count (0 = hardware concurrency).
-  StatusOr<data::CategoricalTable> PerturbSeeded(const data::CategoricalTable& table,
-                                                 uint64_t seed,
-                                                 size_t num_threads = 1) const;
-
-  /// Perturbs only rows [range.begin, range.end) of `table` with the GLOBAL
-  /// chunk streams of the seeded contract; concatenating the outputs of any
-  /// chunk-aligned partition reproduces PerturbSeeded(table, seed) bit for
-  /// bit. `range` must satisfy the seeded-chunk alignment.
-  StatusOr<data::CategoricalTable> PerturbShardSeeded(
-      const data::CategoricalTable& table, const data::RowRange& range,
-      uint64_t seed, size_t num_threads = 1) const;
-
-  /// Streaming form over a ShardView (buffer + global position); see
+  /// Perturbs the rows of `shard` on the global seeded-chunk grid, every
+  /// record with an independent matrix realization: per record, the
+  /// first-divergence column is inverted from a single uniform against the
+  /// precomputed per-column thresholds (see GammaPerturbPlan). Same
+  /// determinism and partition contract as
   /// GammaDiagonalPerturber::PerturbShardSeeded.
   StatusOr<data::CategoricalTable> PerturbShardSeeded(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
@@ -71,7 +53,7 @@ class RandomizedGammaPerturber {
   StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads = 1) const;
 
-  /// The per-row sampler behind every Perturb* form (see
+  /// The per-row sampler behind both shard forms (see
   /// core/seeded_chunking.h): draw this client's matrix realization, then
   /// the divergence column and the plan's row fill.
   template <typename Emit>

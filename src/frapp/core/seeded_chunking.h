@@ -1,9 +1,10 @@
 // Shared machinery for deterministic seeded bulk perturbation.
 //
-// The categorical perturbers split rows into fixed-size chunks whose RNG
-// stream is a pure function of (master seed, chunk index). The chunk size
-// and the stream derivation ARE the determinism contract — one definition
-// here so the perturbers can never drift apart.
+// Every perturber splits rows into fixed-size chunks whose RNG stream is a
+// pure function of (master seed, chunk index). The chunk size and the
+// stream derivation ARE the determinism contract — one definition here so
+// the perturbers can never drift apart. This stream is the only one: the
+// engines and `frapp perturb` both draw from it.
 //
 // Each categorical perturber writes its per-row sampler ONCE, against an
 // emit(attribute, value) sink:
@@ -13,7 +14,9 @@
 // is the schema shape it was built for. The loops below feed that one
 // sampler to two sinks — perturbed column bytes (PerturbShardColumns) and
 // the perturbed rows' bitmap planes (PerturbShardBitmaps) — so the two
-// outputs draw the same streams in the same order and cannot disagree.
+// outputs draw the same streams in the same order and cannot disagree. The
+// boolean schemes (MASK, C&P) write a per-row function of the one-hot bits
+// instead, fed by PerturbOneHotRows.
 
 #ifndef FRAPP_CORE_SEEDED_CHUNKING_H_
 #define FRAPP_CORE_SEEDED_CHUNKING_H_
@@ -25,6 +28,7 @@
 #include "frapp/common/parallel.h"
 #include "frapp/common/status.h"
 #include "frapp/common/statusor.h"
+#include "frapp/data/boolean_view.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
 #include "frapp/mining/vertical_index.h"
@@ -40,22 +44,6 @@ namespace internal {
 /// Aliases the shard alignment quantum so that chunk-aligned shards (see
 /// data/sharded_table.h) perturb bit-identically to the monolithic pass.
 inline constexpr size_t kPerturbChunkRows = data::kShardAlignmentRows;
-
-/// Validates that `range` can be perturbed as a standalone shard under the
-/// seeded-chunk contract: it must start on a chunk boundary and end on one
-/// (or at the end of the table), so that its local chunk grid coincides with
-/// the monolithic chunk grid.
-inline Status ValidateShardRange(const data::RowRange& range, size_t num_rows) {
-  if (range.begin > range.end || range.end > num_rows) {
-    return Status::OutOfRange("shard range exceeds table");
-  }
-  if (range.begin % kPerturbChunkRows != 0 ||
-      (range.end % kPerturbChunkRows != 0 && range.end != num_rows)) {
-    return Status::InvalidArgument(
-        "shard range is not aligned to the seeded chunk quantum");
-  }
-  return Status::OK();
-}
 
 /// Validates a streaming shard view against the seeded-chunk contract: the
 /// local range must lie within its buffer table and the GLOBAL position must
@@ -137,26 +125,6 @@ inline Status ValidatePerturberShape(const data::CategoricalTable& table,
   return Status::OK();
 }
 
-/// Samples every row of `table` in order from one caller-owned generator
-/// (the non-seeded Perturb form), into column bytes.
-template <typename Perturber>
-StatusOr<data::CategoricalTable> PerturbRowsInOrder(
-    const data::CategoricalTable& table, const Perturber& perturber,
-    random::Pcg64& rng) {
-  FRAPP_RETURN_IF_ERROR(
-      ValidatePerturberShape(table, perturber.cardinalities()));
-  FRAPP_ASSIGN_OR_RETURN(data::CategoricalTable out,
-                         data::CategoricalTable::Create(table.schema()));
-  out.AppendZeroRows(table.num_rows());
-  const std::vector<const uint8_t*> in = ColumnsFrom(table);
-  const std::vector<uint8_t*> cols = MutableColumns(out);
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    perturber.SampleRow(in.data(), i, rng,
-                        [&](size_t j, uint8_t value) { cols[j][i] = value; });
-  }
-  return out;
-}
-
 /// The one seeded-chunk row loop behind both shard sinks: samples every row
 /// of `shard` (already validated) with its global chunk's stream and
 /// reports value `value` of attribute `j` of local row `i` as
@@ -175,6 +143,33 @@ void SampleShardRows(const data::ShardView& shard, const Perturber& perturber,
           });
         }
       });
+}
+
+/// The one seeded-chunk row loop of the boolean schemes (MASK, C&P):
+/// perturbs every row of `onehot`, one shard's one-hot encoding whose first
+/// row sits at GLOBAL row `global_begin` (a chunk boundary), as
+/// perturb_row(bits, rng) with its global chunk's stream, into a fresh
+/// table of the same width.
+template <typename RowFn>
+StatusOr<data::BooleanTable> PerturbOneHotRows(const data::BooleanTable& onehot,
+                                               size_t global_begin,
+                                               uint64_t seed,
+                                               size_t num_threads,
+                                               const RowFn& perturb_row) {
+  if (global_begin % kPerturbChunkRows != 0) {
+    return Status::InvalidArgument(
+        "shard does not start on a seeded chunk boundary");
+  }
+  FRAPP_ASSIGN_OR_RETURN(data::BooleanTable out,
+                         data::BooleanTable::CreateEmpty(onehot.num_bits()));
+  for (size_t i = 0; i < onehot.num_rows(); ++i) out.AppendRow(0);
+  ForEachSeededChunk(onehot.num_rows(), global_begin, seed, num_threads,
+                     [&](size_t begin, size_t end, random::Pcg64& rng) {
+                       for (size_t i = begin; i < end; ++i) {
+                         out.SetRowBits(i, perturb_row(onehot.RowBits(i), rng));
+                       }
+                     });
+  return out;
 }
 
 /// The checks both shard sinks run before touching a byte: the seeded-chunk

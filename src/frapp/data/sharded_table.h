@@ -61,6 +61,11 @@ struct ShardView {
 
   size_t size() const { return local.size(); }
 
+  /// All of `table` as one shard at global row 0.
+  static ShardView Whole(const CategoricalTable& table) {
+    return {&table, {0, table.num_rows()}, 0};
+  }
+
   /// Sub-view over this view's GLOBAL rows [gbegin, gend), which must lie
   /// within it. Slicing on the chunk grid is bit-exact: a chunk perturbs
   /// identically whether its shard held one chunk or ten.

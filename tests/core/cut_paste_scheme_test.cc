@@ -81,8 +81,8 @@ TEST(CutPasteSchemeTest, PartialSupportMatrixMatchesSimulation) {
     ASSERT_TRUE(t.ok());
     const size_t rows = 60000;
     for (size_t i = 0; i < rows; ++i) t->AppendRow(record);
-    random::Pcg64 rng(29 + q0);
-    StatusOr<data::BooleanTable> out = s.Perturb(*t, rng);
+    StatusOr<data::BooleanTable> out =
+        s.PerturbShardSeeded(*t, /*global_begin=*/0, /*seed=*/29 + q0);
     ASSERT_TRUE(out.ok());
 
     std::vector<double> freq(k + 1, 0.0);
@@ -108,8 +108,8 @@ TEST(CutPasteSchemeTest, PerturbedRecordsStayInUniverse) {
     }
     t->AppendRow(bits);
   }
-  random::Pcg64 rng(2);
-  StatusOr<data::BooleanTable> out = s.Perturb(*t, rng);
+  StatusOr<data::BooleanTable> out =
+      s.PerturbShardSeeded(*t, /*global_begin=*/0, /*seed=*/2);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 1000u);
   for (size_t i = 0; i < out->num_rows(); ++i) {
@@ -171,8 +171,9 @@ TEST(CutPasteSchemeTest, ConditionNumberExplodesWithLength) {
 }
 
 TEST(CutPasteSchemeTest, EstimateExactOnNoiselessPartialSupports) {
-  // Hand the estimator a perturbed table whose partial-support counts equal
-  // Q times a known original distribution; it must recover x[k] exactly.
+  // Hand the estimator the histogram of a perturbed table whose
+  // partial-support counts equal Q times a known original distribution; it
+  // must recover x[k] exactly.
   StatusOr<CutPasteScheme> s = CutPasteScheme::Create(2, 0.5, 3, 8);
   ASSERT_TRUE(s.ok());
   const size_t k = 2;
@@ -186,25 +187,29 @@ TEST(CutPasteSchemeTest, EstimateExactOnNoiselessPartialSupports) {
   // synthetic "perturbed" table with counts round(y * 100).
   StatusOr<data::BooleanTable> t = data::BooleanTable::CreateEmpty(8);
   ASSERT_TRUE(t.ok());
-  const uint64_t mask = 0b11;
-  const uint64_t rows_with[3] = {0b100, 0b101, 0b011};  // 0, 1, 2 mask bits
+  const uint64_t rows_with[3] = {0b100, 0b101, 0b011};  // 0, 1, 2 itemset bits
   double total = 0.0;
   for (size_t level = 0; level <= k; ++level) {
     const size_t copies = static_cast<size_t>(std::llround(y[level] * 100.0));
     total += static_cast<double>(copies);
     for (size_t i = 0; i < copies; ++i) t->AppendRow(rows_with[level]);
   }
-  StatusOr<double> est = s->EstimateItemsetSupport(*t, mask, k);
+  // Bits 0 and 1 are the itemset; the histogram comes from the boolean
+  // bitmap index the engines count with.
+  data::LocalPatternCountSource source(
+      data::ShardedBooleanVerticalIndex::Build(*t, 1));
+  const std::vector<int64_t> histogram = *source.HitHistogram({0, 1});
+  linalg::Vector hits(k + 1);
+  for (size_t j = 0; j <= k; ++j) hits[j] = static_cast<double>(histogram[j]);
+  StatusOr<double> est = s->ReconstructFromHitHistogram(hits, t->num_rows(), k);
   ASSERT_TRUE(est.ok());
   EXPECT_NEAR(*est, 200.0 * 100.0 / total, 1e-3);
 }
 
 TEST(CutPasteSchemeTest, EstimateValidation) {
   CutPasteScheme s = CensusScheme();
-  StatusOr<data::BooleanTable> t = data::BooleanTable::CreateEmpty(23);
-  ASSERT_TRUE(t.ok());
-  t->AppendRow(0b111);
-  EXPECT_FALSE(s.EstimateItemsetSupport(*t, 0b111, 2).ok());  // popcount != k
+  // A 2-itemset's histogram has 3 entries.
+  EXPECT_FALSE(s.ReconstructFromHitHistogram(linalg::Vector(4), 1, 2).ok());
   EXPECT_FALSE(s.PartialSupportMatrix(0).ok());
   EXPECT_FALSE(s.PartialSupportMatrix(7).ok());  // longer than record items
 }
@@ -216,7 +221,8 @@ TEST(CutPasteSchemeTest, ShardSeededConcatenatesToMonolithic) {
   StatusOr<data::BooleanTable> onehot = data::BooleanTable::FromCategorical(*table);
   ASSERT_TRUE(onehot.ok());
 
-  const data::BooleanTable whole = *s.PerturbSeeded(*onehot, 23, /*num_threads=*/2);
+  const data::BooleanTable whole = *s.PerturbShardSeeded(
+      *onehot, /*global_begin=*/0, 23, /*num_threads=*/2);
   size_t row = 0;
   for (const data::RowRange& range :
        data::ShardedTable::Plan(onehot->num_rows(), 3)) {
@@ -240,8 +246,8 @@ TEST(CutPasteSupportEstimatorTest, SingletonEstimateOnCensusData) {
   ASSERT_TRUE(onehot.ok());
 
   CutPasteScheme s = CensusScheme();
-  random::Pcg64 rng(31);
-  StatusOr<data::BooleanTable> perturbed = s.Perturb(*onehot, rng);
+  StatusOr<data::BooleanTable> perturbed =
+      s.PerturbShardSeeded(*onehot, /*global_begin=*/0, /*seed=*/31);
   ASSERT_TRUE(perturbed.ok());
 
   CutPasteSupportEstimator estimator(

@@ -63,7 +63,7 @@ TEST(DesignerTest, DesignedMechanismIsUsable) {
   StatusOr<FrappDesign> design = DesignMechanism(schema, options);
   ASSERT_TRUE(design.ok());
   StatusOr<mining::VerticalIndex> index = design->mechanism->PerturbShardIndex(
-      data::ShardView{&*table, {0, table->num_rows()}, 0}, /*seed=*/4,
+      data::ShardView::Whole(*table), /*seed=*/4,
       /*num_threads=*/1);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   std::vector<mining::VerticalIndex> shards;

@@ -86,9 +86,9 @@ TEST(ReconstructedSupportStddevTest, PredictsEmpiricalSpread) {
   auto rec = *GammaSubsetReconstructor::Create(gamma, schema.DomainSize());
 
   std::vector<double> estimates;
-  random::Pcg64 rng(77);
   for (int run = 0; run < 60; ++run) {
-    auto perturbed = *perturber.Perturb(table, rng);
+    auto perturbed = *perturber.PerturbShardSeeded(
+        data::ShardView::Whole(table), /*seed=*/77 + run);
     const double sup_v = mining::SupportFraction(perturbed, target);
     estimates.push_back(*rec.ReconstructSupport(sup_v, 6));
   }
@@ -126,9 +126,9 @@ TEST(PredictedRelativeReconstructionErrorTest, BoundsEmpiricalError) {
   // Empirical relative error over a few runs stays within a small multiple
   // of the prediction (the prediction is an RMS-based Theorem-1 bound).
   auto perturber = *GammaDiagonalPerturber::Create(schema, 19.0);
-  random::Pcg64 rng(9);
   for (int run = 0; run < 5; ++run) {
-    auto perturbed = *perturber.Perturb(table, rng);
+    auto perturbed = *perturber.PerturbShardSeeded(
+        data::ShardView::Whole(table), /*seed=*/9 + run);
     const linalg::Vector y = perturbed.JointHistogram(indexer);
     const linalg::Vector x_hat = *matrix.ToUniformMixture().Solve(y);
     const double relative = (x_hat - x).Norm2() / x.Norm2();

@@ -149,10 +149,11 @@ TEST(GammaDiagonalPerturberTest, AgreesWithNaiveCdfPerturber) {
   // Accumulate perturbed histograms over several repetitions.
   linalg::Vector fast_hist(static_cast<size_t>(indexer.domain_size()));
   linalg::Vector naive_hist(static_cast<size_t>(indexer.domain_size()));
-  random::Pcg64 rng_fast(7), rng_naive(8);
+  random::Pcg64 rng_naive(8);
   const int reps = 25;
   for (int r = 0; r < reps; ++r) {
-    StatusOr<data::CategoricalTable> pf = fast->Perturb(*original, rng_fast);
+    StatusOr<data::CategoricalTable> pf = fast->PerturbShardSeeded(
+        data::ShardView::Whole(*original), /*seed=*/7 + r);
     StatusOr<data::CategoricalTable> pn = naive->Perturb(*original, rng_naive);
     ASSERT_TRUE(pf.ok() && pn.ok());
     fast_hist = fast_hist + pf->JointHistogram(indexer);
@@ -173,8 +174,8 @@ TEST(GammaDiagonalPerturberTest, PreservesRowCountAndSchema) {
   ASSERT_TRUE(t->AppendRow({1, 2, 1}).ok());
   StatusOr<GammaDiagonalPerturber> p = GammaDiagonalPerturber::Create(schema, 19.0);
   ASSERT_TRUE(p.ok());
-  random::Pcg64 rng(1);
-  StatusOr<data::CategoricalTable> out = p->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> out =
+      p->PerturbShardSeeded(data::ShardView::Whole(*t), /*seed=*/1);
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->num_rows(), 2u);
   EXPECT_EQ(out->num_attributes(), 3u);
@@ -188,8 +189,8 @@ TEST(GammaDiagonalPerturberTest, HighGammaMostlyPreservesRecords) {
   for (int i = 0; i < 1000; ++i) ASSERT_TRUE(t->AppendRow({1, 1, 1}).ok());
   StatusOr<GammaDiagonalPerturber> p = GammaDiagonalPerturber::Create(schema, 1e6);
   ASSERT_TRUE(p.ok());
-  random::Pcg64 rng(3);
-  StatusOr<data::CategoricalTable> out = p->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> out =
+      p->PerturbShardSeeded(data::ShardView::Whole(*t), /*seed=*/3);
   ASSERT_TRUE(out.ok());
   size_t unchanged = 0;
   for (size_t i = 0; i < out->num_rows(); ++i) {

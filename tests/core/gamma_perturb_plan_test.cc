@@ -129,8 +129,8 @@ TEST(AliasPerturberDistributionTest, MatchesClosedFormGammaDiagonalColumn) {
   const size_t n = 60000;
   const data::CategoricalTable table = RepeatedRecordTable(schema, record, n);
 
-  random::Pcg64 rng(17);
-  const data::CategoricalTable perturbed = *perturber.Perturb(table, rng);
+  const data::CategoricalTable perturbed =
+      *perturber.PerturbShardSeeded(data::ShardView::Whole(table), /*seed=*/17);
   const std::vector<size_t> observed = OutputHistogram(perturbed);
 
   // Column `record` of the gamma-diagonal matrix: d on the record, o
@@ -149,9 +149,8 @@ TEST(AliasPerturberDistributionTest, MatchesSequentialBernoulliOracle) {
   const size_t n = 60000;
   const data::CategoricalTable table = RepeatedRecordTable(schema, record, n);
 
-  random::Pcg64 rng_alias(23);
-  const std::vector<size_t> alias_counts =
-      OutputHistogram(*perturber.Perturb(table, rng_alias));
+  const std::vector<size_t> alias_counts = OutputHistogram(
+      *perturber.PerturbShardSeeded(data::ShardView::Whole(table), /*seed=*/23));
 
   // Same number of draws through the sequential per-column oracle.
   const std::vector<size_t> cardinalities = {2, 3, 2};
@@ -179,9 +178,8 @@ TEST(AliasPerturberDistributionTest, RandomizedPerturberMatchesExpectedMatrix) {
   const size_t n = 60000;
   const data::CategoricalTable table = RepeatedRecordTable(schema, record, n);
 
-  random::Pcg64 rng(31);
-  const std::vector<size_t> observed =
-      OutputHistogram(*perturber.Perturb(table, rng));
+  const std::vector<size_t> observed = OutputHistogram(
+      *perturber.PerturbShardSeeded(data::ShardView::Whole(table), /*seed=*/31));
   std::vector<double> probabilities(
       12, perturber.expected_matrix().OffDiagonalValue());
   probabilities[Encode(record)] = perturber.expected_matrix().DiagonalValue();
@@ -203,17 +201,19 @@ TEST(SeededPerturbDeterminismTest, IdenticalAcrossThreadCounts) {
     ASSERT_TRUE(table.AppendRow(row).ok());
   }
 
-  const data::CategoricalTable reference = *perturber.PerturbSeeded(table, 42, 1);
+  const data::ShardView whole = data::ShardView::Whole(table);
+  const data::CategoricalTable reference =
+      *perturber.PerturbShardSeeded(whole, 42, 1);
   for (size_t threads : {2u, 3u, 8u, 0u}) {
     const data::CategoricalTable parallel =
-        *perturber.PerturbSeeded(table, 42, threads);
+        *perturber.PerturbShardSeeded(whole, 42, threads);
     ASSERT_EQ(parallel.num_rows(), reference.num_rows());
     for (size_t j = 0; j < 3; ++j) {
       ASSERT_EQ(parallel.Column(j), reference.Column(j)) << "threads=" << threads;
     }
   }
   // A different seed must give a different table.
-  const data::CategoricalTable other = *perturber.PerturbSeeded(table, 43, 2);
+  const data::CategoricalTable other = *perturber.PerturbShardSeeded(whole, 43, 2);
   bool any_difference = false;
   for (size_t j = 0; j < 3 && !any_difference; ++j) {
     any_difference = other.Column(j) != reference.Column(j);
@@ -236,10 +236,12 @@ TEST(SeededPerturbDeterminismTest, RandomizedPerturberIdenticalAcrossThreadCount
     }
     ASSERT_TRUE(table.AppendRow(row).ok());
   }
-  const data::CategoricalTable reference = *perturber.PerturbSeeded(table, 7, 1);
+  const data::ShardView whole = data::ShardView::Whole(table);
+  const data::CategoricalTable reference =
+      *perturber.PerturbShardSeeded(whole, 7, 1);
   for (size_t threads : {2u, 4u}) {
     const data::CategoricalTable parallel =
-        *perturber.PerturbSeeded(table, 7, threads);
+        *perturber.PerturbShardSeeded(whole, 7, threads);
     for (size_t j = 0; j < 3; ++j) {
       ASSERT_EQ(parallel.Column(j), reference.Column(j)) << "threads=" << threads;
     }
@@ -254,7 +256,8 @@ TEST(SeededPerturbDeterminismTest, SeededPathMatchesClosedFormDistribution) {
   const std::vector<uint8_t> record = {0, 2, 1};
   const data::CategoricalTable table = RepeatedRecordTable(schema, record, 60000);
   const std::vector<size_t> observed =
-      OutputHistogram(*perturber.PerturbSeeded(table, 1234, 3));
+      OutputHistogram(*perturber.PerturbShardSeeded(
+          data::ShardView::Whole(table), 1234, 3));
   std::vector<double> probabilities(12, perturber.matrix().OffDiagonalValue());
   probabilities[Encode(record)] = perturber.matrix().DiagonalValue();
   EXPECT_LT(ChiSquaredGof(observed, probabilities), kChi11Critical);

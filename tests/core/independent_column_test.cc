@@ -90,8 +90,8 @@ TEST(IndependentColumnTest, PerturbMarginalMatchesMatrix) {
   StatusOr<data::CategoricalTable> t = data::CategoricalTable::Create(schema);
   ASSERT_TRUE(t.ok());
   for (int i = 0; i < 100000; ++i) ASSERT_TRUE(t->AppendRow({1, 2}).ok());
-  random::Pcg64 rng(37);
-  StatusOr<data::CategoricalTable> out = s->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> out =
+      s->PerturbShardSeeded(data::ShardView::Whole(*t), /*seed=*/37);
   ASSERT_TRUE(out.ok());
 
   // Column 1 (cardinality 3): P(keep) = gamma_j x_j.
@@ -122,8 +122,8 @@ TEST(IndependentColumnEstimatorTest, ExactOnNoiselessSubsetHistogram) {
     count_12 += (a == 1 && b == 2) ? 1 : 0;
     ASSERT_TRUE(t->AppendRow({a, b}).ok());
   }
-  random::Pcg64 rng(39);
-  StatusOr<data::CategoricalTable> perturbed = s->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> perturbed =
+      s->PerturbShardSeeded(data::ShardView::Whole(*t), /*seed=*/39);
   ASSERT_TRUE(perturbed.ok());
 
   IndependentColumnSupportEstimator estimator(
@@ -146,15 +146,16 @@ TEST(IndependentColumnTest, ShardSeededConcatenatesToMonolithic) {
       IndependentColumnScheme::Create(table->schema(), 19.0);
   ASSERT_TRUE(s.ok());
 
+  const data::ShardView whole_view = data::ShardView::Whole(*table);
   const data::CategoricalTable whole =
-      *s->PerturbSeeded(*table, 31, /*num_threads=*/2);
+      *s->PerturbShardSeeded(whole_view, 31, /*num_threads=*/2);
   for (size_t num_shards : {3ul, 7ul}) {
     SCOPED_TRACE(testing::Message() << "shards=" << num_shards);
     size_t row = 0;
     for (const data::RowRange& range :
          data::ShardedTable::Plan(table->num_rows(), num_shards)) {
       const data::CategoricalTable shard = *s->PerturbShardSeeded(
-          data::ShardView{&*table, range, range.begin}, 31);
+          whole_view.Slice(range.begin, range.end), 31);
       ASSERT_EQ(shard.num_rows(), range.size());
       for (size_t i = 0; i < shard.num_rows(); ++i, ++row) {
         for (size_t j = 0; j < table->num_attributes(); ++j) {

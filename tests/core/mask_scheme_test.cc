@@ -13,6 +13,16 @@ namespace frapp {
 namespace core {
 namespace {
 
+// Pattern counts of the bit `positions` over `table`, from the boolean
+// bitmap index the engines count with.
+std::vector<double> PatternCounts(const data::BooleanTable& table,
+                                  const std::vector<size_t>& positions) {
+  data::LocalPatternCountSource source(
+      data::ShardedBooleanVerticalIndex::Build(table, 1));
+  const std::vector<int64_t> counts = *source.PatternCounts(positions);
+  return {counts.begin(), counts.end()};
+}
+
 TEST(MaskSchemeTest, PaperCalibrationValues) {
   // Section 7: p = 0.5610 for CENSUS (M = 6) and 0.5524 for HEALTH (M = 7)
   // at gamma = 19.
@@ -74,8 +84,8 @@ TEST(MaskSchemeTest, PerturbFlipsAtExpectedRate) {
   const size_t rows = 20000;
   for (size_t i = 0; i < rows; ++i) t->AppendRow(pattern);
 
-  random::Pcg64 rng(17);
-  StatusOr<data::BooleanTable> out = s->Perturb(*t, rng);
+  StatusOr<data::BooleanTable> out =
+      s->PerturbShardSeeded(*t, /*global_begin=*/0, /*seed=*/17);
   ASSERT_TRUE(out.ok());
   size_t flipped_bits = 0;
   for (size_t i = 0; i < rows; ++i) {
@@ -108,7 +118,8 @@ TEST(MaskSchemeTest, EstimateExactOnNoiselessCounts) {
   // inverse is exact only for p -> 1; here we instead verify consistency:
   // estimate on UNPERTURBED data equals applying the inverse to the true
   // pattern distribution.
-  StatusOr<double> est = s->EstimateItemsetSupport(*t, {0, 1});
+  StatusOr<double> est =
+      s->ReconstructFromPatternCounts(PatternCounts(*t, {0, 1}), t->num_rows());
   ASSERT_TRUE(est.ok());
   // Inverse of the tensor channel applied to y = [0.2, 0.2, 0, 0.6]:
   // with q = 1-p, det = (2p-1) per axis.
@@ -141,10 +152,11 @@ TEST(MaskSchemeTest, EndToEndSingletonEstimateIsAccurate) {
     true_count += set ? 1 : 0;
     t->AppendRow(set ? 1ull : 0ull);
   }
-  random::Pcg64 rng(19);
-  StatusOr<data::BooleanTable> perturbed = s->Perturb(*t, rng);
+  StatusOr<data::BooleanTable> perturbed =
+      s->PerturbShardSeeded(*t, /*global_begin=*/0, /*seed=*/19);
   ASSERT_TRUE(perturbed.ok());
-  StatusOr<double> est = s->EstimateItemsetSupport(*perturbed, {0});
+  StatusOr<double> est = s->ReconstructFromPatternCounts(
+      PatternCounts(*perturbed, {0}), perturbed->num_rows());
   ASSERT_TRUE(est.ok());
   EXPECT_NEAR(*est, static_cast<double>(true_count) / rows, 0.02);
 }
@@ -155,8 +167,20 @@ TEST(MaskSchemeTest, EstimateValidation) {
   StatusOr<data::BooleanTable> t = data::BooleanTable::CreateEmpty(4);
   ASSERT_TRUE(t.ok());
   t->AppendRow(0b1111);
-  EXPECT_FALSE(s->EstimateItemsetSupport(*t, {}).ok());
-  EXPECT_FALSE(s->EstimateItemsetSupport(*t, {5}).ok());
+  // Pattern counts must have 2^k entries, k >= 0.
+  EXPECT_FALSE(s->ReconstructFromPatternCounts({}, 1).ok());
+  EXPECT_FALSE(s->ReconstructFromPatternCounts({1.0, 2.0, 3.0}, 6).ok());
+  // The estimator rejects an item whose bit lies past the indexed table:
+  // (b, 2) is bit 4 of this 4-bit table's 5-bit layout.
+  const data::CategoricalSchema schema = *data::CategoricalSchema::Create(
+      {{"a", {"0", "1"}}, {"b", {"0", "1", "2"}}});
+  MaskSupportEstimator estimator(
+      *s, data::BooleanLayout(schema),
+      std::make_shared<data::LocalPatternCountSource>(
+          data::ShardedBooleanVerticalIndex::Build(*t, 1)));
+  EXPECT_EQ(
+      estimator.EstimateSupport(*mining::Itemset::Create({{1, 2}})).status().code(),
+      StatusCode::kOutOfRange);
 }
 
 TEST(MaskSchemeTest, ShardSeededConcatenatesToMonolithic) {
@@ -168,7 +192,8 @@ TEST(MaskSchemeTest, ShardSeededConcatenatesToMonolithic) {
   const size_t rows = 20000;  // three seeded chunks, last one partial
   for (size_t i = 0; i < rows; ++i) table->AppendRow(rng.Next());
 
-  const data::BooleanTable whole = *s->PerturbSeeded(*table, 17, /*num_threads=*/2);
+  const data::BooleanTable whole = *s->PerturbShardSeeded(
+      *table, /*global_begin=*/0, 17, /*num_threads=*/2);
   ASSERT_EQ(whole.num_rows(), rows);
   size_t row = 0;
   for (const data::RowRange& range : data::ShardedTable::Plan(rows, 3)) {
@@ -199,8 +224,8 @@ TEST(MaskSupportEstimatorTest, ResolvesItemsetBits) {
 
   StatusOr<MaskScheme> s = MaskScheme::CalibrateForGamma(19.0, 6);
   ASSERT_TRUE(s.ok());
-  random::Pcg64 rng(23);
-  StatusOr<data::BooleanTable> perturbed = s->Perturb(*onehot, rng);
+  StatusOr<data::BooleanTable> perturbed =
+      s->PerturbShardSeeded(*onehot, /*global_begin=*/0, /*seed=*/23);
   ASSERT_TRUE(perturbed.ok());
 
   MaskSupportEstimator estimator(

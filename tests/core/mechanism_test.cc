@@ -31,7 +31,7 @@ class MechanismFixture : public ::testing::Test {
                        const mining::Itemset& itemset) {
     ShardIndexes indexes;
     const Status perturbed = PerturbIntoIndex(
-        mechanism, data::ShardView{&*table_, {0, table_->num_rows()}, 0},
+        mechanism, data::ShardView::Whole(*table_),
         seed, /*num_threads=*/1, indexes);
     EXPECT_TRUE(perturbed.ok()) << perturbed.ToString();
     StatusOr<std::unique_ptr<mining::SupportEstimator>> estimator =

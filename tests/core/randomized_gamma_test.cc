@@ -40,8 +40,8 @@ TEST(RandomizedGammaTest, ZeroAlphaMatchesDeterministicDistribution) {
   StatusOr<data::CategoricalTable> t = data::CategoricalTable::Create(schema);
   ASSERT_TRUE(t.ok());
   for (int i = 0; i < 200000; ++i) ASSERT_TRUE(t->AppendRow({1, 2, 3}).ok());
-  random::Pcg64 rng(11);
-  StatusOr<data::CategoricalTable> out = p->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> out =
+      p->PerturbShardSeeded(data::ShardView::Whole(*t), /*seed=*/11);
   ASSERT_TRUE(out.ok());
 
   const data::DomainIndexer indexer = data::DomainIndexer::OverAllAttributes(schema);
@@ -76,8 +76,8 @@ TEST_P(RandomizedGammaKindTest, AverageDistributionMatchesExpectedMatrix) {
   StatusOr<data::CategoricalTable> t = data::CategoricalTable::Create(schema);
   ASSERT_TRUE(t.ok());
   for (int i = 0; i < 300000; ++i) ASSERT_TRUE(t->AppendRow({0, 1, 2}).ok());
-  random::Pcg64 rng(13);
-  StatusOr<data::CategoricalTable> out = p->Perturb(*t, rng);
+  StatusOr<data::CategoricalTable> out =
+      p->PerturbShardSeeded(data::ShardView::Whole(*t), /*seed=*/13);
   ASSERT_TRUE(out.ok());
 
   const data::DomainIndexer indexer = data::DomainIndexer::OverAllAttributes(schema);
@@ -127,8 +127,8 @@ TEST(RandomizedGammaTest, SchemaMismatchRejected) {
       data::CategoricalSchema::Create({{"z", {"0", "1"}}});
   StatusOr<data::CategoricalTable> t = data::CategoricalTable::Create(*other);
   ASSERT_TRUE(t.ok());
-  random::Pcg64 rng(1);
-  EXPECT_FALSE(p->Perturb(*t, rng).ok());
+  EXPECT_FALSE(
+      p->PerturbShardSeeded(data::ShardView::Whole(*t), /*seed=*/1).ok());
 }
 
 }  // namespace

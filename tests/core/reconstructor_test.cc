@@ -65,8 +65,8 @@ TEST(ReconstructorTest, EndToEndUnbiasedOnPerturbedData) {
   StatusOr<GammaDiagonalPerturber> perturber =
       GammaDiagonalPerturber::Create(*schema, gamma);
   ASSERT_TRUE(perturber.ok());
-  random::Pcg64 rng(6);
-  StatusOr<data::CategoricalTable> perturbed = perturber->Perturb(*original, rng);
+  StatusOr<data::CategoricalTable> perturbed = perturber->PerturbShardSeeded(
+      data::ShardView::Whole(*original), /*seed=*/6);
   ASSERT_TRUE(perturbed.ok());
 
   StatusOr<linalg::Vector> x_hat =

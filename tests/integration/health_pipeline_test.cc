@@ -81,7 +81,7 @@ TEST_F(HealthPipelineTest, DesignerEndToEndOnHealth) {
   EXPECT_NEAR(design->condition_number, (19.0 + 7499.0) / 18.0, 1e-9);
 
   StatusOr<mining::VerticalIndex> index = design->mechanism->PerturbShardIndex(
-      data::ShardView{table_, {0, table_->num_rows()}, 0}, /*seed=*/10,
+      data::ShardView::Whole(*table_), /*seed=*/10,
       /*num_threads=*/1);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
   std::vector<mining::VerticalIndex> shards;

@@ -95,15 +95,16 @@ data::CategoricalTable* PrivacyPipelineTest::table_ = nullptr;
 TEST_F(PrivacyPipelineTest, ShardedPerturbationConcatenatesToMonolithic) {
   const auto perturber =
       *core::GammaDiagonalPerturber::Create(table_->schema(), kGamma);
+  const data::ShardView whole_view = data::ShardView::Whole(*table_);
   const data::CategoricalTable whole =
-      *perturber.PerturbSeeded(*table_, kSeed, /*num_threads=*/2);
+      *perturber.PerturbShardSeeded(whole_view, kSeed, /*num_threads=*/2);
   for (size_t num_shards : {3ul, 7ul}) {
     SCOPED_TRACE(testing::Message() << "shards=" << num_shards);
     size_t row = 0;
     for (const data::RowRange& range :
          data::ShardedTable::Plan(table_->num_rows(), num_shards)) {
-      const data::CategoricalTable shard =
-          *perturber.PerturbShardSeeded(*table_, range, kSeed);
+      const data::CategoricalTable shard = *perturber.PerturbShardSeeded(
+          whole_view.Slice(range.begin, range.end), kSeed);
       ASSERT_EQ(shard.num_rows(), range.size());
       for (size_t i = 0; i < shard.num_rows(); ++i, ++row) {
         for (size_t j = 0; j < table_->num_attributes(); ++j) {
@@ -119,13 +120,14 @@ TEST_F(PrivacyPipelineTest, ShardedPerturbationConcatenatesToMonolithic) {
 TEST_F(PrivacyPipelineTest, ShardMisalignmentIsRejected) {
   const auto perturber =
       *core::GammaDiagonalPerturber::Create(table_->schema(), kGamma);
-  EXPECT_FALSE(
-      perturber.PerturbShardSeeded(*table_, data::RowRange{100, 9000}, kSeed)
-          .ok());
+  EXPECT_FALSE(perturber
+                   .PerturbShardSeeded(
+                       data::ShardView{table_, {100, 9000}, 100}, kSeed)
+                   .ok());
   EXPECT_FALSE(
       perturber
-          .PerturbShardSeeded(*table_, data::RowRange{0, table_->num_rows() + 1},
-                              kSeed)
+          .PerturbShardSeeded(
+              data::ShardView{table_, {0, table_->num_rows() + 1}, 0}, kSeed)
           .ok());
 }
 

@@ -6,7 +6,9 @@
 //   frapp perturb  --dataset census|health --in F.csv --out G.csv
 //                  [--rho1 0.05 --rho2 0.50] [--alpha-frac 0..1] [--seed S]
 //       Client-side perturbation with the (optionally randomized)
-//       gamma-diagonal mechanism.
+//       gamma-diagonal mechanism, on the engines' seeded-chunk stream:
+//       `mine --in` over the output prints the report of
+//       `mine --run-pipeline` over the input at the same --seed.
 //   frapp mine     --dataset census|health --in G.csv
 //                  [--rho1 .. --rho2 ..] [--alpha-frac ..] [--minsup 0.02]
 //                  [--exact] [--top K]
@@ -142,7 +144,7 @@ int Usage() {
       "usage: frapp <generate|perturb|mine|append|audit|convert|worker|serve|query|cpuinfo> [flags]\n"
       "  generate --dataset census|health [--rows N] [--seed S] --out F.csv\n"
       "  perturb  --dataset D --in F.csv --out G.csv [--rho1 R --rho2 R]\n"
-      "           [--alpha-frac F] [--seed S]\n"
+      "           [--alpha-frac F] [--seed 7]  (the --run-pipeline stream)\n"
       "  mine     --dataset D --in G.csv [--rho1 R --rho2 R] [--alpha-frac F]\n"
       "           [--minsup 0.02] [--exact] [--top K]\n"
       "  mine     --dataset D --mechanism det-gd|ran-gd|mask|cp|ind-gd\n"
@@ -285,8 +287,12 @@ int CmdPerturb(const Flags& flags) {
   core::FrappDesign design = DesignFor(schema, flags);
   std::cout << design.Summary();
 
-  random::Pcg64 rng(flags.GetUint("seed", 7));
-  UnwrapStatus(data::WriteCsv(Unwrap(design.Perturb(original, rng)), out));
+  // The engines' seeded-chunk stream over the whole table: the file mines
+  // to the same report as `frapp mine --run-pipeline` at the same --seed.
+  UnwrapStatus(data::WriteCsv(
+      Unwrap(design.mechanism->PerturbShard(data::ShardView::Whole(original),
+                                            flags.GetUint("seed", 7), 1)),
+      out));
   std::cout << "wrote perturbed database to " << out << "\n";
   return 0;
 }
@@ -618,6 +624,7 @@ int CmdMine(const Flags& flags) {
   options.min_support = flags.GetDouble("minsup", 0.02);
 
   mining::AprioriResult result;
+  std::string label = "exact";
   if (flags.Has("exact")) {
     result = Unwrap(mining::MineExact(table, options));
   } else {
@@ -629,11 +636,10 @@ int CmdMine(const Flags& flags) {
             std::make_shared<mining::LocalSupportCountSource>(
                 mining::ShardedVerticalIndex::Build(table, 1))));
     result = Unwrap(mining::MineFrequentItemsets(schema, *estimator, options));
+    label = design.mechanism->name();
   }
 
-  PrintMiningReport(schema, result,
-                    flags.Has("exact") ? "exact" : "reconstructed",
-                    options.min_support,
+  PrintMiningReport(schema, result, label, options.min_support,
                     static_cast<size_t>(flags.GetUint("top", 20)));
   return 0;
 }
