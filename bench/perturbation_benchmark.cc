@@ -139,11 +139,10 @@ BENCHMARK(BM_RandomizedGammaPerturb);
 void BM_MaskPerturb(benchmark::State& state) {
   const data::CategoricalSchema schema = data::census::Schema();
   const data::CategoricalTable table = RandomTable(schema, 1000);
-  const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(table);
   auto scheme = *core::MaskScheme::CalibrateForGamma(19.0, 6);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scheme.PerturbShardSeeded(onehot, /*global_begin=*/0, 5));
+    benchmark::DoNotOptimize(scheme.PerturbShardIndex(
+        data::ShardView::Whole(table), /*seed=*/5, /*num_threads=*/1));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }
@@ -152,11 +151,10 @@ BENCHMARK(BM_MaskPerturb);
 void BM_CutPastePerturb(benchmark::State& state) {
   const data::CategoricalSchema schema = data::census::Schema();
   const data::CategoricalTable table = RandomTable(schema, 1000);
-  const data::BooleanTable onehot = *data::BooleanTable::FromCategorical(table);
   auto scheme = *core::CutPasteScheme::Create(3, 0.494, 6, 23);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        scheme.PerturbShardSeeded(onehot, /*global_begin=*/0, 6));
+    benchmark::DoNotOptimize(scheme.PerturbShardIndex(
+        data::ShardView::Whole(table), /*seed=*/6, /*num_threads=*/1));
   }
   state.SetItemsProcessed(state.iterations() * table.num_rows());
 }

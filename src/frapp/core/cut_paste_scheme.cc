@@ -15,8 +15,8 @@ namespace core {
 namespace {
 
 /// One record through the cut-and-paste operator. Kept out of line: GCC
-/// inlining it into the seeded-chunk row loop made C&P perturbation of
-/// CENSUS rows about 1.6x slower.
+/// inlining it into a seeded-chunk row loop made C&P perturbation of CENSUS
+/// rows about 1.6x slower.
 [[gnu::noinline]] uint64_t CutPasteRow(uint64_t row, size_t cutoff_k, double rho,
                      size_t universe_bits, random::Pcg64& rng) {
   uint8_t ones[64] = {};  // bit positions of the record's items
@@ -73,6 +73,23 @@ double CutPasteScheme::CutSizeProbability(size_t z) const {
   if (z < m) return 1.0 / denom;
   if (z == m) return static_cast<double>(cutoff_k_ - m + 1) / denom;
   return 0.0;
+}
+
+StatusOr<data::BooleanVerticalIndex> CutPasteScheme::PerturbShardIndex(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
+  if (shard.rows != nullptr &&
+      shard.rows->schema().TotalCategories() != universe_bits_) {
+    return Status::InvalidArgument("table universe does not match scheme");
+  }
+  return internal::PerturbOneHotPlanes(
+      shard, seed, num_threads,
+      [&](const internal::OneHotPlanes& planes, size_t begin, size_t end,
+          random::Pcg64& rng) {
+        for (size_t i = begin; i < end; ++i) {
+          planes.SetRow(i, CutPasteRow(planes.Row(i), cutoff_k_, rho_,
+                                       universe_bits_, rng));
+        }
+      });
 }
 
 StatusOr<data::BooleanTable> CutPasteScheme::PerturbShardSeeded(

@@ -28,6 +28,7 @@
 #include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/pattern_count_source.h"
+#include "frapp/data/sharded_table.h"
 #include "frapp/linalg/lu.h"
 #include "frapp/linalg/matrix.h"
 #include "frapp/mining/apriori.h"
@@ -53,12 +54,19 @@ class CutPasteScheme {
   /// record_items.
   double CutSizeProbability(size_t z) const;
 
-  /// Applies the operator to every row of `onehot` (one shard's one-hot
-  /// encoding) on the global seeded-chunk grid (see
-  /// core/seeded_chunking.h): `global_begin` is the global row index of the
-  /// shard's first row and must be chunk-aligned. The output depends only
-  /// on (rows, global position, seed), and any chunk-aligned shard
-  /// partition concatenates bit for bit.
+  /// Applies the operator to the one-hot encoding of every row of `shard`
+  /// on the global seeded-chunk grid (see core/seeded_chunking.h), writing
+  /// each perturbed row straight into the bitmap planes of the shard's
+  /// index. The output depends only on (rows, global position, seed), and
+  /// any chunk-aligned shard partition concatenates bit for bit. The
+  /// shard's one-hot width must be universe_bits().
+  StatusOr<data::BooleanVerticalIndex> PerturbShardIndex(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads) const;
+
+  /// Row-form oracle of PerturbShardIndex over `onehot` (one shard's one-hot
+  /// encoding whose first row sits at the chunk-aligned global row
+  /// `global_begin`): the same draws, into a BooleanTable whose transpose
+  /// equals PerturbShardIndex's planes bit for bit.
   StatusOr<data::BooleanTable> PerturbShardSeeded(const data::BooleanTable& onehot,
                                                   size_t global_begin,
                                                   uint64_t seed,

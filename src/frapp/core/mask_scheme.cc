@@ -1,11 +1,43 @@
 #include "frapp/core/mask_scheme.h"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "frapp/core/seeded_chunking.h"
 
 namespace frapp {
 namespace core {
+
+namespace {
+
+// Lanes stepped side by side in FlipLanes: enough independent 128-bit
+// multiplies in flight to hide their latency.
+constexpr size_t kLanesPerPass = 4;
+
+// XORs the flips of bits first_bit + L of local rows [begin, end) of one
+// chunk into their planes. Draw i * B + b of the chunk's stream decides bit
+// b of row i (B = one-hot width), so lane L draws every B-th value of the
+// stream from offset first_bit + L, one per row; `begin` is a multiple of
+// 64.
+template <size_t... L>
+void FlipLanes(std::index_sequence<L...>, const random::Pcg64& chunk_rng,
+               const internal::OneHotPlanes& planes, size_t first_bit,
+               uint64_t threshold, size_t begin, size_t end) {
+  random::StridedPcg64 lanes[] = {
+      chunk_rng.Strided(first_bit + L, planes.num_bits)...};
+  uint64_t* const out[] = {planes.Plane(first_bit + L)...};
+  for (size_t word_begin = begin; word_begin < end; word_begin += 64) {
+    const size_t rows = std::min<size_t>(64, end - word_begin);
+    uint64_t flips[] = {(static_cast<void>(L), uint64_t{0})...};
+    for (size_t r = 0; r < rows; ++r) {
+      ((flips[L] |= uint64_t{(lanes[L].Next() >> 11) < threshold} << r), ...);
+    }
+    ((out[L][word_begin >> 6] ^= flips[L]), ...);
+  }
+}
+
+}  // namespace
 
 StatusOr<MaskScheme> MaskScheme::Create(double p) {
   if (!(p > 0.5) || !(p < 1.0)) {
@@ -31,6 +63,26 @@ double MaskScheme::RecordAmplification(size_t num_attributes) const {
 
 double MaskScheme::ConditionNumberForLength(size_t itemset_length) const {
   return std::pow(1.0 / (2.0 * p_ - 1.0), static_cast<double>(itemset_length));
+}
+
+StatusOr<data::BooleanVerticalIndex> MaskScheme::PerturbShardIndex(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
+  const uint64_t threshold = random::Pcg64::BernoulliThreshold(1.0 - p_);
+  return internal::PerturbOneHotPlanes(
+      shard, seed, num_threads,
+      [&](const internal::OneHotPlanes& planes, size_t begin, size_t end,
+          random::Pcg64& rng) {
+        for (size_t i = begin; i < end; ++i) planes.SetRow(i, planes.Row(i));
+        size_t b = 0;
+        for (; b + kLanesPerPass <= planes.num_bits; b += kLanesPerPass) {
+          FlipLanes(std::make_index_sequence<kLanesPerPass>{}, rng, planes, b,
+                    threshold, begin, end);
+        }
+        for (; b < planes.num_bits; ++b) {
+          FlipLanes(std::make_index_sequence<1>{}, rng, planes, b, threshold,
+                    begin, end);
+        }
+      });
 }
 
 StatusOr<data::BooleanTable> MaskScheme::PerturbShardSeeded(

@@ -24,6 +24,7 @@
 #include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/pattern_count_source.h"
+#include "frapp/data/sharded_table.h"
 #include "frapp/mining/apriori.h"
 #include "frapp/random/rng.h"
 
@@ -52,13 +53,26 @@ class MaskScheme {
   /// (1 / (2p - 1))^k.
   double ConditionNumberForLength(size_t itemset_length) const;
 
-  /// Flips every bit of every row of `onehot` (the one-hot encoding of one
-  /// shard) independently with probability 1 - p, on the global
-  /// seeded-chunk grid (core/seeded_chunking.h): `global_begin` is the
-  /// global row index of the shard's first row and must be chunk-aligned.
-  /// The output depends only on (rows, global position, seed), never on the
-  /// thread count, and any chunk-aligned shard partition concatenates bit
-  /// for bit to the whole table's.
+  /// Flips every bit of the one-hot encoding of every row of `shard`
+  /// independently with probability 1 - p, on the global seeded-chunk grid
+  /// (core/seeded_chunking.h), straight into the bitmap planes of the
+  /// shard's index. The output depends only on (rows, global position,
+  /// seed), never on the thread count, and any chunk-aligned shard
+  /// partition concatenates bit for bit to the whole table's.
+  ///
+  /// Within a chunk, draw i * B + b of the chunk's stream decides bit b of
+  /// row i (B = one-hot width), exactly as in PerturbShardSeeded. Here each
+  /// bit is one lane, a strided view of the chunk stream (Pcg64::Strided),
+  /// several lanes step side by side, and each lane packs 64 rows' flips
+  /// into one word that is XORed into its plane.
+  StatusOr<data::BooleanVerticalIndex> PerturbShardIndex(
+      const data::ShardView& shard, uint64_t seed, size_t num_threads) const;
+
+  /// Row-form oracle of PerturbShardIndex: flips every bit of every row of
+  /// `onehot` (the one-hot encoding of one shard whose first row sits at
+  /// the chunk-aligned global row `global_begin`), one NextBernoulli per
+  /// bit in row order. The transpose of its output equals
+  /// PerturbShardIndex's planes bit for bit.
   StatusOr<data::BooleanTable> PerturbShardSeeded(const data::BooleanTable& onehot,
                                                   size_t global_begin,
                                                   uint64_t seed,

@@ -21,20 +21,6 @@ uint64_t SubsetDomainSize(const data::CategoricalSchema& schema,
   return size;
 }
 
-// One-hot encodes a boolean mechanism's shard and perturbs its bits with
-// `scheme` (MaskScheme or CutPasteScheme) under the seeded-chunk contract.
-template <typename Scheme>
-StatusOr<data::BooleanTable> PerturbOneHotShard(const Scheme& scheme,
-                                                const data::ShardView& shard,
-                                                uint64_t seed,
-                                                size_t num_threads) {
-  FRAPP_ASSIGN_OR_RETURN(
-      data::BooleanTable onehot,
-      data::BooleanTable::FromCategoricalRange(*shard.rows, shard.local));
-  return scheme.PerturbShardSeeded(onehot, shard.global_begin, seed,
-                                   num_threads);
-}
-
 }  // namespace
 
 StatusOr<data::CategoricalTable> Mechanism::PerturbShard(const data::ShardView&,
@@ -47,7 +33,7 @@ StatusOr<mining::VerticalIndex> Mechanism::PerturbShardIndex(
   return Status::Unimplemented(name() + " does not stream categorical shards");
 }
 
-StatusOr<data::BooleanTable> Mechanism::PerturbBooleanShard(
+StatusOr<data::BooleanVerticalIndex> Mechanism::PerturbBooleanShardIndex(
     const data::ShardView&, uint64_t, size_t) {
   return Status::Unimplemented(name() + " does not stream boolean shards");
 }
@@ -90,9 +76,9 @@ Status PerturbIntoIndex(Mechanism& mechanism, const data::ShardView& shard,
   if (shard.size() == 0) return Status::OK();
   if (mechanism.shard_kind() == Mechanism::ShardKind::kBoolean) {
     FRAPP_ASSIGN_OR_RETURN(
-        const data::BooleanTable perturbed,
-        mechanism.PerturbBooleanShard(shard, seed, num_threads));
-    out.boolean.emplace_back(perturbed);
+        data::BooleanVerticalIndex index,
+        mechanism.PerturbBooleanShardIndex(shard, seed, num_threads));
+    out.boolean.push_back(std::move(index));
   } else {
     FRAPP_ASSIGN_OR_RETURN(
         mining::VerticalIndex index,
@@ -222,9 +208,9 @@ StatusOr<std::unique_ptr<MaskMechanism>> MaskMechanism::Create(
   return std::unique_ptr<MaskMechanism>(new MaskMechanism(schema, scheme));
 }
 
-StatusOr<data::BooleanTable> MaskMechanism::PerturbBooleanShard(
+StatusOr<data::BooleanVerticalIndex> MaskMechanism::PerturbBooleanShardIndex(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
-  return PerturbOneHotShard(scheme_, shard, seed, num_threads);
+  return scheme_.PerturbShardIndex(shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
@@ -257,9 +243,9 @@ StatusOr<std::unique_ptr<CutPasteMechanism>> CutPasteMechanism::Create(
       new CutPasteMechanism(schema, std::move(scheme)));
 }
 
-StatusOr<data::BooleanTable> CutPasteMechanism::PerturbBooleanShard(
+StatusOr<data::BooleanVerticalIndex> CutPasteMechanism::PerturbBooleanShardIndex(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
-  return PerturbOneHotShard(scheme_, shard, seed, num_threads);
+  return scheme_.PerturbShardIndex(shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>

@@ -55,10 +55,11 @@ class Mechanism {
   // (Make(Boolean)CountSourceEstimator), wherever the counts were summed. A
   // mechanism declares which index it builds: categorical shards perturb
   // straight into mining::VerticalIndex bitmap planes (DET-GD, RAN-GD,
-  // IND-GD); one-hot boolean rows are indexed by data::BooleanVerticalIndex
-  // (MASK, C&P). The perturbers and schemes have no other row loop: `frapp
-  // perturb` writes this same seeded-chunk stream (PerturbShard over the
-  // whole table).
+  // IND-GD), and one-hot boolean shards straight into
+  // data::BooleanVerticalIndex planes (MASK, C&P); no perturbed rows are
+  // materialized on either path. `frapp perturb` writes this same
+  // seeded-chunk stream (PerturbShard over the whole table). The boolean
+  // schemes keep a row-form PerturbShardSeeded only as the tests' oracle.
 
   /// Representation of a perturbed shard.
   enum class ShardKind { kCategorical, kBoolean };
@@ -81,10 +82,12 @@ class Mechanism {
   virtual StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads);
 
-  /// Client side of one boolean shard: one-hot encodes the shard's rows and
-  /// perturbs the bits under the same contract. Only for shard_kind() ==
-  /// kBoolean.
-  virtual StatusOr<data::BooleanTable> PerturbBooleanShard(
+  /// Client side of one boolean shard: perturbs the one-hot bits of the
+  /// shard's rows under the same contract straight into the bitmap planes
+  /// of its data::BooleanVerticalIndex. raw_bits() equals the transpose of
+  /// the scheme's row-form PerturbShardSeeded output for every thread
+  /// count. Only for shard_kind() == kBoolean.
+  virtual StatusOr<data::BooleanVerticalIndex> PerturbBooleanShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads);
 
   /// Miner side over an ABSTRACT count source: the mechanism's
@@ -182,7 +185,7 @@ class MaskMechanism : public Mechanism {
   double Amplification() const override;
 
   ShardKind shard_kind() const override { return ShardKind::kBoolean; }
-  StatusOr<data::BooleanTable> PerturbBooleanShard(
+  StatusOr<data::BooleanVerticalIndex> PerturbBooleanShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<std::unique_ptr<mining::SupportEstimator>>
   MakeBooleanCountSourceEstimator(
@@ -212,7 +215,7 @@ class CutPasteMechanism : public Mechanism {
   double Amplification() const override;
 
   ShardKind shard_kind() const override { return ShardKind::kBoolean; }
-  StatusOr<data::BooleanTable> PerturbBooleanShard(
+  StatusOr<data::BooleanVerticalIndex> PerturbBooleanShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
   StatusOr<std::unique_ptr<mining::SupportEstimator>>
   MakeBooleanCountSourceEstimator(
@@ -301,10 +304,9 @@ struct ShardIndexes {
 
 /// The one perturb-into-index step of every engine: perturbs `shard` under
 /// the seeded-chunk contract and appends its index to `out`. A categorical
-/// shard perturbs straight into VerticalIndex planes (PerturbShardIndex); a
-/// boolean shard's perturbed one-hot rows (PerturbBooleanShard) are
-/// transposed into a BooleanVerticalIndex and dropped. An empty shard
-/// appends nothing.
+/// shard perturbs straight into VerticalIndex planes (PerturbShardIndex), a
+/// boolean shard into BooleanVerticalIndex planes
+/// (PerturbBooleanShardIndex). An empty shard appends nothing.
 Status PerturbIntoIndex(Mechanism& mechanism, const data::ShardView& shard,
                         uint64_t seed, size_t num_threads, ShardIndexes& out);
 

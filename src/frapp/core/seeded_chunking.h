@@ -15,19 +15,23 @@
 // sampler to two sinks — perturbed column bytes (PerturbShardColumns) and
 // the perturbed rows' bitmap planes (PerturbShardBitmaps) — so the two
 // outputs draw the same streams in the same order and cannot disagree. The
-// boolean schemes (MASK, C&P) write a per-row function of the one-hot bits
-// instead, fed by PerturbOneHotRows.
+// boolean schemes (MASK, C&P) perturb one chunk's one-hot bits at a time
+// straight into the shard's BooleanVerticalIndex planes
+// (PerturbOneHotPlanes); their row-form oracles (PerturbShardSeeded over a
+// BooleanTable) run a per-row function fed by PerturbOneHotRows.
 
 #ifndef FRAPP_CORE_SEEDED_CHUNKING_H_
 #define FRAPP_CORE_SEEDED_CHUNKING_H_
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "frapp/common/parallel.h"
 #include "frapp/common/status.h"
 #include "frapp/common/statusor.h"
+#include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
@@ -44,6 +48,10 @@ namespace internal {
 /// Aliases the shard alignment quantum so that chunk-aligned shards (see
 /// data/sharded_table.h) perturb bit-identically to the monolithic pass.
 inline constexpr size_t kPerturbChunkRows = data::kShardAlignmentRows;
+
+// Every chunk starts on a multiple of 64 rows, so it owns whole words of
+// every bitmap plane and chunk-parallel writers never share a word.
+static_assert(kPerturbChunkRows % 64 == 0);
 
 /// Validates a streaming shard view against the seeded-chunk contract: the
 /// local range must lie within its buffer table and the GLOBAL position must
@@ -145,11 +153,12 @@ void SampleShardRows(const data::ShardView& shard, const Perturber& perturber,
       });
 }
 
-/// The one seeded-chunk row loop of the boolean schemes (MASK, C&P):
-/// perturbs every row of `onehot`, one shard's one-hot encoding whose first
-/// row sits at GLOBAL row `global_begin` (a chunk boundary), as
-/// perturb_row(bits, rng) with its global chunk's stream, into a fresh
-/// table of the same width.
+/// The row-form oracle loop of the boolean schemes (MASK, C&P): perturbs
+/// every row of `onehot`, one shard's one-hot encoding whose first row sits
+/// at GLOBAL row `global_begin` (a chunk boundary), as perturb_row(bits,
+/// rng) with its global chunk's stream, into a fresh table of the same
+/// width. The engines perturb through PerturbOneHotPlanes instead; tests
+/// hold the two to the same bits.
 template <typename RowFn>
 StatusOr<data::BooleanTable> PerturbOneHotRows(const data::BooleanTable& onehot,
                                                size_t global_begin,
@@ -170,6 +179,69 @@ StatusOr<data::BooleanTable> PerturbOneHotRows(const data::BooleanTable& onehot,
                        }
                      });
   return out;
+}
+
+/// One shard's one-hot bitmap planes (data::BooleanLayout bit order) while
+/// its chunks perturb into them: plane p is `words` words, and bit i of a
+/// plane is local row i of the shard.
+struct OneHotPlanes {
+  std::vector<const uint8_t*> cols;  // attribute j of local row i: cols[j][i]
+  std::vector<size_t> offsets;       // first plane of attribute j
+  size_t num_bits = 0;               // planes: the one-hot width
+  size_t words = 0;
+  uint64_t* bits = nullptr;
+
+  uint64_t* Plane(size_t p) const { return bits + p * words; }
+
+  /// The unperturbed one-hot word of local row i.
+  uint64_t Row(size_t i) const {
+    uint64_t row = 0;
+    for (size_t j = 0; j < cols.size(); ++j) {
+      row |= 1ull << (offsets[j] + cols[j][i]);
+    }
+    return row;
+  }
+
+  /// Sets the bits of `row` on local row i.
+  void SetRow(size_t i, uint64_t row) const {
+    for (; row != 0; row &= row - 1) {
+      Plane(static_cast<size_t>(__builtin_ctzll(row)))[i >> 6] |=
+          1ull << (i & 63);
+    }
+  }
+};
+
+/// The one seeded-chunk loop of the boolean schemes (MASK, C&P): validates
+/// `shard` against the seeded-chunk contract, zeroes its one-hot planes and
+/// calls perturb_chunk(planes, begin, end, rng) per chunk of local rows
+/// [begin, end) with that chunk's stream, on up to `num_threads` workers.
+/// The chunk function writes its rows' PERTURBED bits into the planes, which
+/// become the shard's index with no BooleanTable in between.
+template <typename ChunkFn>
+StatusOr<data::BooleanVerticalIndex> PerturbOneHotPlanes(
+    const data::ShardView& shard, uint64_t seed, size_t num_threads,
+    const ChunkFn& perturb_chunk) {
+  FRAPP_RETURN_IF_ERROR(ValidateShardView(shard));
+  const data::CategoricalSchema& schema = shard.rows->schema();
+  const size_t num_bits = schema.TotalCategories();
+  if (num_bits > 64) {
+    return Status::InvalidArgument(
+        "boolean view limited to 64 bits; schema has " +
+        std::to_string(num_bits));
+  }
+  OneHotPlanes planes;
+  planes.cols = ColumnsFrom(*shard.rows, shard.local.begin);
+  planes.offsets = mining::VerticalIndex::ItemOffsets(schema);
+  planes.num_bits = num_bits;
+  planes.words = (shard.size() + 63) / 64;
+  std::vector<uint64_t> bits(num_bits * planes.words, 0);
+  planes.bits = bits.data();
+  ForEachSeededChunk(shard.size(), shard.global_begin, seed, num_threads,
+                     [&](size_t begin, size_t end, random::Pcg64& rng) {
+                       perturb_chunk(planes, begin, end, rng);
+                     });
+  return data::BooleanVerticalIndex::FromRaw(shard.size(), num_bits,
+                                             std::move(bits));
 }
 
 /// The checks both shard sinks run before touching a byte: the seeded-chunk
@@ -213,9 +285,6 @@ StatusOr<mining::VerticalIndex> PerturbShardBitmaps(
   for (size_t j = 0; j < planes.size(); ++j) {
     planes[j] = bits.data() + offsets[j] * words;
   }
-  // Every chunk starts on a multiple of 64 rows, so it owns whole words of
-  // every plane and chunk-parallel writers never share a word.
-  static_assert(kPerturbChunkRows % 64 == 0);
   SampleShardRows(shard, perturber, seed, num_threads,
                   [&](size_t i, size_t j, uint8_t value) {
                     planes[j][static_cast<size_t>(value) * words + (i >> 6)] |=

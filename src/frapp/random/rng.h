@@ -15,6 +15,8 @@
 namespace frapp {
 namespace random {
 
+class StridedPcg64;
+
 /// PCG-XSL-RR 128/64 generator. Satisfies the C++ UniformRandomBitGenerator
 /// requirements so it also composes with <random> if ever needed.
 class Pcg64 {
@@ -31,11 +33,7 @@ class Pcg64 {
   /// Next 64 random bits.
   uint64_t Next() {
     state_ = state_ * kMultiplier + increment_;
-    // PCG-XSL-RR output function.
-    const uint64_t xored = static_cast<uint64_t>(state_ >> 64) ^
-                           static_cast<uint64_t>(state_);
-    const unsigned rot = static_cast<unsigned>(state_ >> 122);
-    return (xored >> rot) | (xored << ((-rot) & 63));
+    return Output(state_);
   }
   result_type operator()() { return Next(); }
 
@@ -71,10 +69,34 @@ class Pcg64 {
     return NextDouble() < p;
   }
 
+  /// Integer form of NextBernoulli: for p in (0, 1), NextBernoulli(p) is
+  /// exactly `(Next() >> 11) < BernoulliThreshold(p)` on the same draw,
+  /// since NextDouble() < p  <=>  (Next() >> 11) < p * 2^53 and the left
+  /// side is an integer. (Outside (0, 1) NextBernoulli draws nothing.)
+  static uint64_t BernoulliThreshold(double p);
+
+  /// Every `stride`-th draw of this generator from draw `offset` on: the
+  /// view's Next() returns what this generator's Next() would return as its
+  /// draws offset, offset + stride, offset + 2 * stride, ... (counting from
+  /// 0), without drawing those in between. This generator is not advanced.
+  /// PCG's state update is an LCG, so stepping `stride` draws at once is
+  /// itself an LCG; both it and the start state come from O(log) jumps.
+  StridedPcg64 Strided(uint64_t offset, uint64_t stride) const;
+
   /// Derives an independent child generator (for per-worker streams).
   Pcg64 Split();
 
  private:
+  friend class StridedPcg64;
+
+  // PCG-XSL-RR output function of one state.
+  static uint64_t Output(unsigned __int128 state) {
+    const uint64_t xored =
+        static_cast<uint64_t>(state >> 64) ^ static_cast<uint64_t>(state);
+    const unsigned rot = static_cast<unsigned>(state >> 122);
+    return (xored >> rot) | (xored << ((-rot) & 63));
+  }
+
   // The bulk perturbers draw several values per row, so the generator is
   // header-inline: an out-of-line call per draw costs more than the draw.
   static constexpr unsigned __int128 kMultiplier =
@@ -82,6 +104,28 @@ class Pcg64 {
       4865540595714422341ULL;
 
   unsigned __int128 state_;
+  unsigned __int128 increment_;
+};
+
+/// A strided view of a Pcg64 (see Pcg64::Strided). A view owns its state,
+/// so several views stepped side by side run independent multiply chains
+/// that the CPU overlaps.
+class StridedPcg64 {
+ public:
+  uint64_t Next() {
+    const uint64_t out = Pcg64::Output(state_);
+    state_ = state_ * multiplier_ + increment_;
+    return out;
+  }
+
+ private:
+  friend class Pcg64;
+  StridedPcg64(unsigned __int128 state, unsigned __int128 multiplier,
+               unsigned __int128 increment)
+      : state_(state), multiplier_(multiplier), increment_(increment) {}
+
+  unsigned __int128 state_;
+  unsigned __int128 multiplier_;
   unsigned __int128 increment_;
 };
 

@@ -1,6 +1,7 @@
 #include "frapp/store/count_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -20,7 +21,7 @@ static_assert(CountStore::kSubstrateChunkRows == data::kShardAlignmentRows,
 namespace {
 
 constexpr char kMagic[8] = {'F', 'R', 'A', 'P', 'P', 'C', 'N', 'T'};
-constexpr uint32_t kFormatVersion = 1;
+constexpr uint32_t kFormatVersion = 2;
 // Magic + version + kind + six u64 fields, before the variable-length part.
 constexpr size_t kFixedHeaderBytes = 8 + 4 + 4 + 6 * 8;
 constexpr size_t kChecksumBytes = 8;
@@ -46,11 +47,45 @@ void AppendString(std::string& buf, const std::string& s) {
   AppendBytes(buf, s.data(), s.size());
 }
 
+/// Appends `n` 64-bit words (count vectors and substrate planes), little
+/// endian: one copy of the whole run on a little-endian host.
+void AppendWords(std::string& buf, const void* words, size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    AppendBytes(buf, words, n * 8);
+  } else {
+    const char* bytes = static_cast<const char*>(words);
+    for (size_t w = 0; w < n; ++w) {
+      uint64_t v = 0;
+      std::memcpy(&v, bytes + w * 8, 8);
+      AppendU64(buf, v);
+    }
+  }
+}
+
+/// The little-endian u64 at `data`.
+uint64_t LoadU64(const char* data) {
+  uint64_t v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, data, 8);
+  } else {
+    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(data[i]);
+  }
+  return v;
+}
+
+/// FNV-1a over the little-endian u64 words of the image, then over its
+/// trailing n % 8 bytes one at a time.
 uint64_t Checksum(const char* data, size_t n) {
+  constexpr uint64_t kPrime = 0x100000001b3ULL;
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (size_t i = 0; i < n; ++i) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    h ^= LoadU64(data + i);
+    h *= kPrime;
+  }
+  for (; i < n; ++i) {
     h ^= static_cast<uint8_t>(data[i]);
-    h *= 0x100000001b3ULL;
+    h *= kPrime;
   }
   return h;
 }
@@ -81,8 +116,7 @@ struct Cursor {
 
   StatusOr<uint64_t> ReadU64(const std::string& what) {
     if (!Need(8)) return Truncated(what);
-    uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) v = (v << 8) | static_cast<uint8_t>(data[pos + i]);
+    const uint64_t v = LoadU64(data + pos);
     pos += 8;
     return v;
   }
@@ -95,14 +129,18 @@ struct Cursor {
     return s;
   }
 
-  Status ReadWords(const std::string& what, uint64_t* out, size_t n) {
+  /// Reads `n` little-endian 64-bit words into `out` (uint64_t or int64_t
+  /// bit patterns). Callers bound `n` by the image size first, so n * 8
+  /// cannot wrap.
+  Status ReadWords(const std::string& what, void* out, size_t n) {
     if (!Need(n * 8)) return Truncated(what);
-    for (size_t w = 0; w < n; ++w) {
-      uint64_t v = 0;
-      for (int i = 7; i >= 0; --i) {
-        v = (v << 8) | static_cast<uint8_t>(data[pos + w * 8 + i]);
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out, data + pos, n * 8);
+    } else {
+      for (size_t w = 0; w < n; ++w) {
+        const uint64_t v = LoadU64(data + pos + w * 8);
+        std::memcpy(static_cast<char*>(out) + w * 8, &v, 8);
       }
-      out[w] = v;
     }
     pos += n * 8;
     return Status::OK();
@@ -212,7 +250,7 @@ Status CountStore::SaveToFile(const std::string& path) const {
     for (uint32_t word : *key) AppendU32(buf, word);
     const std::vector<int64_t>& counts = entries_.at(*key).counts;
     AppendU32(buf, static_cast<uint32_t>(counts.size()));
-    for (int64_t c : counts) AppendU64(buf, static_cast<uint64_t>(c));
+    AppendWords(buf, counts.data(), counts.size());
   }
 
   // The substrate must tile the committed window exactly; a store that
@@ -232,7 +270,7 @@ Status CountStore::SaveToFile(const std::string& path) const {
     if (chunk.words.size() != substrate_planes_ * kSubstrateChunkWords) {
       return Status::Internal("substrate chunk has wrong plane arity");
     }
-    for (uint64_t w : chunk.words) AppendU64(buf, w);
+    AppendWords(buf, chunk.words.data(), chunk.words.size());
   }
   AppendU64(buf, Checksum(buf.data(), buf.size()));
 
@@ -283,12 +321,7 @@ StatusOr<CountStore> CountStore::LoadFromFile(const std::string& path) {
   }
   // Checksum next: nothing past the version field is trusted before the
   // whole image validates.
-  uint64_t want_checksum = 0;
-  for (int i = 7; i >= 0; --i) {
-    want_checksum =
-        (want_checksum << 8) | static_cast<uint8_t>(buf[payload + i]);
-  }
-  if (Checksum(buf.data(), payload) != want_checksum) {
+  if (Checksum(buf.data(), payload) != LoadU64(buf.data() + payload)) {
     return Status::InvalidArgument(
         "'" + path + "' fails its checksum (truncated or corrupted)");
   }
@@ -349,10 +382,8 @@ StatusOr<CountStore> CountStore::LoadFromFile(const std::string& path) {
     }
     Entry entry;
     entry.counts.resize(counts_len);
-    for (int64_t& c : entry.counts) {
-      FRAPP_ASSIGN_OR_RETURN(const uint64_t raw, cursor.ReadU64("entry counts"));
-      c = static_cast<int64_t>(raw);
-    }
+    FRAPP_RETURN_IF_ERROR(
+        cursor.ReadWords("entry counts", entry.counts.data(), counts_len));
     if (!store.entries_.emplace(std::move(key), std::move(entry)).second) {
       return Status::InvalidArgument("'" + path + "' entry " +
                                      std::to_string(e) + " repeats a key");

@@ -24,7 +24,7 @@
 //
 //   offset  size  field
 //   0       8     magic "FRAPPCNT"
-//   8       4     u32 format version (1)
+//   8       4     u32 format version (2)
 //   12      4     u32 count kind (0 = support, 1 = boolean superset)
 //   16      8     u64 schema fingerprint (data::SchemaFingerprint)
 //   24      8     u64 perturbation seed
@@ -42,7 +42,15 @@
 //   ...     ...   substrate chunks in window order, each planes * 128
 //                 u64 words: the raw bitmap planes of that chunk's
 //                 vertical index (8192 rows per chunk)
-//   end-8   8     u64 FNV-1a checksum of every preceding byte
+//   end-8   8     u64 checksum of every preceding byte: FNV-1a over
+//                 the little-endian u64 words of that image, then over
+//                 its trailing (size % 8) bytes one at a time
+//
+// Version 2 changed only the checksum (version 1 hashed byte by byte); the
+// byte layout is unchanged. A version 1 file fails to load with a "format
+// version" error: a store is derived data, so delete it and re-run to
+// rebuild it. Count vectors and substrate planes are copied as whole runs
+// of words on little-endian hosts.
 //
 // The substrate is the perturbed database itself, materialized as per-chunk
 // bitmap-index planes. It is what makes store MISSES cheap: a candidate

@@ -1,15 +1,20 @@
 // The seeded-chunk stream pins: known-answer values of the per-chunk PCG64
-// streams, and the fused perturb-into-bitmaps path of every categorical
-// mechanism against perturb-then-index on the same shard views.
+// streams, the fused perturb-into-bitmaps path of every categorical
+// mechanism against perturb-then-index on the same shard views, and the
+// boolean mechanisms' plane path against the transpose of their row-form
+// oracle.
 
 #include "frapp/core/seeded_chunking.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "frapp/core/mechanism.h"
+#include "frapp/data/boolean_vertical_index.h"
+#include "frapp/data/boolean_view.h"
 #include "frapp/data/census.h"
 #include "frapp/mining/vertical_index.h"
 
@@ -165,6 +170,93 @@ TEST_F(FusedShardIndexTest, RejectsWhatThePerturbedRowsPathRejects) {
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
+}
+
+// The row-form oracle of a boolean mechanism's shard: one-hot rows,
+// perturbed by the scheme's PerturbShardSeeded, then transposed.
+template <typename Scheme>
+std::vector<uint64_t> OracleBits(const Scheme& scheme,
+                                 const data::ShardView& view, uint64_t seed,
+                                 size_t threads) {
+  const data::BooleanTable onehot =
+      *data::BooleanTable::FromCategoricalRange(*view.rows, view.local);
+  StatusOr<data::BooleanTable> perturbed =
+      scheme.PerturbShardSeeded(onehot, view.global_begin, seed, threads);
+  EXPECT_TRUE(perturbed.ok()) << perturbed.status().ToString();
+  if (!perturbed.ok()) return {};
+  return data::BooleanVerticalIndex(*perturbed).raw_bits();
+}
+
+TEST_F(FusedShardIndexTest, BooleanPlanesEqualTransposeOfRowOracle) {
+  const size_t c = kPerturbChunkRows;
+  auto mask = *MaskMechanism::Create(table_->schema(), kGamma);
+  auto cut_paste = *CutPasteMechanism::Create(table_->schema(), 3, 0.494);
+  const std::vector<data::ShardView> views = {
+      // The whole table; its last chunk ends mid-word (1000 = 15 * 64 + 40).
+      {table_, {0, kRows}, 0},
+      // A chunk-aligned partition of it.
+      {table_, {0, c}, 0},
+      {table_, {c, 3 * c}, c},
+      {table_, {3 * c, kRows}, 3 * c},
+      // Rows from mid-buffer at a later chunk, ending mid-chunk and mid-word.
+      {table_, {100, 100 + 2 * c + 500}, 5 * c},
+      // A 100-row shard: one partial chunk, two words.
+      {table_, {7, 107}, 2 * c},
+  };
+  for (const uint64_t seed : {kSeed, uint64_t{3}}) {
+    for (const data::ShardView& view : views) {
+      for (const size_t threads : {1, 3}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " local [" +
+                     std::to_string(view.local.begin) + ", " +
+                     std::to_string(view.local.end) + ") global " +
+                     std::to_string(view.global_begin) + " threads " +
+                     std::to_string(threads));
+        StatusOr<data::BooleanVerticalIndex> mask_index =
+            mask->PerturbBooleanShardIndex(view, seed, threads);
+        ASSERT_TRUE(mask_index.ok()) << mask_index.status().ToString();
+        EXPECT_EQ(mask_index->num_rows(), view.size());
+        EXPECT_EQ(mask_index->raw_bits(),
+                  OracleBits(mask->scheme(), view, seed, threads));
+        StatusOr<data::BooleanVerticalIndex> cp_index =
+            cut_paste->PerturbBooleanShardIndex(view, seed, threads);
+        ASSERT_TRUE(cp_index.ok()) << cp_index.status().ToString();
+        EXPECT_EQ(cp_index->num_rows(), view.size());
+        EXPECT_EQ(cp_index->raw_bits(),
+                  OracleBits(cut_paste->scheme(), view, seed, threads));
+      }
+    }
+  }
+}
+
+TEST_F(FusedShardIndexTest, BooleanPlanesRejectWhatTheRowOracleRejects) {
+  auto mask = *MaskMechanism::Create(table_->schema(), kGamma);
+  auto cut_paste = *CutPasteMechanism::Create(table_->schema(), 3, 0.494);
+  const data::ShardView off_grid{table_, {0, 100}, 100};
+  EXPECT_EQ(mask->PerturbBooleanShardIndex(off_grid, kSeed, 1).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      cut_paste->PerturbBooleanShardIndex(off_grid, kSeed, 1).status().code(),
+      StatusCode::kInvalidArgument);
+  const data::BooleanTable onehot =
+      *data::BooleanTable::FromCategoricalRange(*table_, {0, 100});
+  EXPECT_FALSE(mask->scheme().PerturbShardSeeded(onehot, 100, kSeed).ok());
+  EXPECT_FALSE(cut_paste->scheme().PerturbShardSeeded(onehot, 100, kSeed).ok());
+
+  // C&P's universe is the one-hot width of the schema it was built for.
+  const data::CategoricalSchema other = *data::CategoricalSchema::Create(
+      {{"a", {"0", "1"}}, {"b", {"0", "1", "2"}}});
+  const data::CategoricalTable narrow = *data::CategoricalTable::Create(other);
+  EXPECT_FALSE(
+      cut_paste->PerturbBooleanShardIndex({&narrow, {0, 0}, 0}, kSeed, 1).ok());
+
+  // The categorical mechanisms build no boolean index.
+  for (const auto& mechanism : CategoricalMechanisms()) {
+    EXPECT_EQ(mechanism->PerturbBooleanShardIndex({table_, {0, kRows}, 0},
+                                                  kSeed, 1)
+                  .status()
+                  .code(),
+              StatusCode::kUnimplemented);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 namespace frapp {
 namespace random {
@@ -93,6 +95,60 @@ TEST(Pcg64Test, BernoulliRates) {
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.01);
   EXPECT_FALSE(rng.NextBernoulli(0.0));
   EXPECT_TRUE(rng.NextBernoulli(1.0));
+}
+
+TEST(Pcg64Test, StridedViewEqualsEveryStrideThDraw) {
+  const Pcg64 base(15, 29);
+  std::vector<uint64_t> draws;
+  Pcg64 serial = base;
+  for (int i = 0; i < 4000; ++i) draws.push_back(serial.Next());
+  for (uint64_t stride : {1, 2, 7, 23, 64}) {
+    for (uint64_t offset : {0, 1, 5, 22, 100}) {
+      SCOPED_TRACE("stride " + std::to_string(stride) + " offset " +
+                   std::to_string(offset));
+      StridedPcg64 lane = base.Strided(offset, stride);
+      for (uint64_t d = offset; d < draws.size(); d += stride) {
+        ASSERT_EQ(lane.Next(), draws[d]) << "draw " << d;
+      }
+    }
+  }
+  // Taking a view does not advance the generator.
+  Pcg64 after = base;
+  EXPECT_EQ(after.Next(), draws[0]);
+}
+
+TEST(Pcg64Test, BernoulliThresholdEqualsNextBernoulli) {
+  // MASK's flip probability at gamma = 19 over 6 attributes (CENSUS).
+  const double mask_flip = 1.0 / (1.0 + std::pow(19.0, 1.0 / 12.0));
+  const double probabilities[] = {0x1.0p-53,
+                                  1.5 * 0x1.0p-53,
+                                  1e-9,
+                                  1e-3,
+                                  std::nextafter(0.5, 0.0),
+                                  0.5,
+                                  std::nextafter(0.5, 1.0),
+                                  mask_flip,
+                                  std::nextafter(1.0, 0.0)};
+  for (const double p : probabilities) {
+    SCOPED_TRACE(p);
+    const uint64_t threshold = Pcg64::BernoulliThreshold(p);
+    Pcg64 a(16), b(16);
+    for (int i = 0; i < 100000; ++i) {
+      ASSERT_EQ(a.NextBernoulli(p), (b.Next() >> 11) < threshold) << i;
+    }
+  }
+  // On the decision boundary itself: p equal to a draw's NextDouble value,
+  // and the doubles either side of it.
+  Pcg64 rng(17);
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t u = rng.Next() >> 11;
+    const double value = static_cast<double>(u) * 0x1.0p-53;
+    for (const double p : {value, std::nextafter(value, 0.0),
+                           std::nextafter(value, 1.0)}) {
+      if (!(p > 0.0) || p >= 1.0) continue;
+      ASSERT_EQ(value < p, u < Pcg64::BernoulliThreshold(p)) << p;
+    }
+  }
 }
 
 TEST(Pcg64Test, SplitProducesIndependentStream) {

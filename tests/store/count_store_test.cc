@@ -202,6 +202,64 @@ TEST(CountStoreTest, RejectsDamagedFiles) {
   EXPECT_TRUE(CountStore::LoadFromFile(path).ok());
 }
 
+TEST(CountStoreTest, Version2ChecksumsWordsAndTrailingBytes) {
+  StoreIdentity identity = TestIdentity();
+  // A payload that is not a whole number of words, so the checksum has
+  // trailing bytes to hash one at a time.
+  identity.source_id = "odd-length-source";
+  CountStore store(identity);
+  store.BeginRun();
+  store.Put({0x00010002u}, {411});
+  SubstrateChunk chunk;
+  chunk.words.resize(2 * CountStore::kSubstrateChunkWords);
+  for (size_t w = 0; w < chunk.words.size(); ++w) {
+    chunk.words[w] = 0x9e3779b97f4a7c15ULL * (w + 1);
+  }
+  store.UpdateSubstrate(2, 0, {chunk});
+  store.Commit(0, CountStore::kSubstrateChunkRows);
+  const std::string path = TempPath("v2.frappcnt");
+  ASSERT_TRUE(store.SaveToFile(path).ok());
+  const std::string good = ReadAll(path);
+  const size_t payload = good.size() - 8;
+  ASSERT_NE(payload % 8, 0u);
+
+  // Save -> load -> save reproduces the image byte for byte.
+  {
+    StatusOr<CountStore> loaded = CountStore::LoadFromFile(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ(loaded->substrate()[0].words, chunk.words);
+    const std::string again = TempPath("v2-again.frappcnt");
+    ASSERT_TRUE(loaded->SaveToFile(again).ok());
+    EXPECT_EQ(ReadAll(again), good);
+  }
+
+  // A file stamped version 1 is refused by version, before its checksum.
+  {
+    std::string v1 = good;
+    v1[8] = 1;
+    WriteAll(path, v1);
+    const StatusOr<CountStore> r = CountStore::LoadFromFile(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().ToString().find("format version"), std::string::npos);
+  }
+
+  // A flipped bit in a substrate word (inside the last whole checksum
+  // word), and one in a trailing byte past the last whole word.
+  const size_t last_word_end = payload - payload % 8;
+  for (const size_t offset : {last_word_end - 3, payload - 1}) {
+    std::string bad = good;
+    bad[offset] = static_cast<char>(bad[offset] ^ 0x01);
+    WriteAll(path, bad);
+    const StatusOr<CountStore> r = CountStore::LoadFromFile(path);
+    ASSERT_FALSE(r.ok()) << "offset " << offset;
+    EXPECT_NE(r.status().ToString().find("checksum"), std::string::npos)
+        << "offset " << offset;
+  }
+
+  WriteAll(path, good);
+  EXPECT_TRUE(CountStore::LoadFromFile(path).ok());
+}
+
 TEST(CountStoreTest, LoadOrCreateValidatesIdentity) {
   const std::string path = TempPath("identity.frappcnt");
   std::remove(path.c_str());

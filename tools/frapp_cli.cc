@@ -14,7 +14,9 @@
 //                  [--exact] [--top K]
 //       Miner-side frequent-itemset discovery. With --exact the input is
 //       treated as unperturbed truth; otherwise supports are reconstructed
-//       through the gamma-diagonal inverse (paper Eq. 28).
+//       through the gamma-diagonal inverse (paper Eq. 28), so a --mechanism
+//       other than det-gd/ran-gd is refused (exit 2), here as in perturb
+//       and audit.
 //   frapp audit    --dataset census|health [--rho1 .. --rho2 ..]
 //                  [--alpha-frac ..]
 //       Prints the two-step FRAPP design for the schema.
@@ -51,9 +53,12 @@
 //       CSV's rows are appended verbatim; with --rows, the table grows to
 //       its generated continuation (rows [old, old+N) of the deterministic
 //       generator stream).
-//   frapp mine ... --mechanism det-gd|ran-gd|mask|cp|ind-gd [--gamma G]
+//   frapp mine ... --mechanism det-gd|ran-gd|mask|cp|ind-gd
+//                  [--gamma G | --rho1 R --rho2 R]
 //                  [--alpha A | --alpha-frac F] [--cutoff-k K] [--rho R]
 //                  [--seed S] [--minsup F] plus ONE of
+//       gamma is --gamma (default 19) or the --rho1/--rho2 requirement's,
+//       as in perturb and mine --in; giving both is a usage error (exit 2).
 //       --workers host:port,...  --rows N
 //                  [--request-deadline-ms 30000] [--retry-attempts 3]
 //                  [--connect-timeout-ms 5000] [--connect-retries 25]
@@ -148,7 +153,8 @@ int Usage() {
       "  mine     --dataset D --in G.csv [--rho1 R --rho2 R] [--alpha-frac F]\n"
       "           [--minsup 0.02] [--exact] [--top K]\n"
       "  mine     --dataset D --mechanism det-gd|ran-gd|mask|cp|ind-gd\n"
-      "           [--gamma 19] [--alpha A | --alpha-frac F]   (ran-gd spread)\n"
+      "           [--gamma 19 | --rho1 R --rho2 R]\n"
+      "           [--alpha A | --alpha-frac F]                (ran-gd spread)\n"
       "           [--cutoff-k 3] [--rho 0.494]                (cp operator)\n"
       "           [--seed 7] [--minsup 0.02] [--top K] plus one of\n"
       "             --workers host:port,... --rows N         (distributed)\n"
@@ -170,7 +176,8 @@ int Usage() {
       "           (--in F.csv|F.bin | --rows N [--gen-seed S])\n"
       "           [--threads T] [--cache-entries 64] [--superset-margin 0.25]\n"
       "  query    --connect HOST:PORT --dataset D [--query mine|topk|rules|stats]\n"
-      "           --mechanism det-gd|ran-gd|mask|cp|ind-gd [--gamma G]\n"
+      "           --mechanism det-gd|ran-gd|mask|cp|ind-gd\n"
+      "           [--gamma G | --rho1 R --rho2 R]\n"
       "           [--alpha A | --alpha-frac F] [--cutoff-k K] [--rho R]\n"
       "           [--seed 7] [--minsup 0.02] [--min-confidence C] [--top 20]\n"
       "  cpuinfo  (prints ISA/cache/topology detection + kernel dispatch;\n"
@@ -249,11 +256,28 @@ data::CategoricalSchema SchemaFor(const std::string& dataset) {
   std::exit(2);
 }
 
+/// The (rho1, rho2) privacy requirement of --rho1/--rho2, defaulting to the
+/// paper's (5%, 50%), i.e. gamma = 19.
+core::PrivacyRequirement RequirementFromFlags(const Flags& flags) {
+  return {flags.GetDouble("rho1", 0.05), flags.GetDouble("rho2", 0.50)};
+}
+
+/// The gamma-diagonal design of perturb, audit and mine --in: DET-GD, or
+/// RAN-GD under --alpha-frac. Any other --mechanism is a usage error (exit
+/// 2): these commands would otherwise silently run DET-GD in its place.
 core::FrappDesign DesignFor(const data::CategoricalSchema& schema,
                             const Flags& flags) {
+  const dist::MechanismSpec::Kind kind =
+      Unwrap(dist::ParseMechanismKind(flags.Get("mechanism", "det-gd")));
+  if (kind != dist::MechanismSpec::Kind::kDetGd &&
+      kind != dist::MechanismSpec::Kind::kRanGd) {
+    std::cerr << "--mechanism " << flags.Get("mechanism")
+              << ": this command designs DET-GD or RAN-GD only; mine other "
+                 "mechanisms with --run-pipeline, --count-store or --workers\n";
+    std::exit(2);
+  }
   core::DesignOptions options;
-  options.requirement.rho1 = flags.GetDouble("rho1", 0.05);
-  options.requirement.rho2 = flags.GetDouble("rho2", 0.50);
+  options.requirement = RequirementFromFlags(flags);
   options.randomization_fraction = flags.GetDouble("alpha-frac", 0.0);
   return Unwrap(core::DesignMechanism(schema, options));
 }
@@ -311,7 +335,17 @@ dist::MechanismSpec SpecFromFlags(const Flags& flags,
                                   const data::CategoricalSchema& schema) {
   dist::MechanismSpec spec;
   spec.kind = Unwrap(dist::ParseMechanismKind(flags.Get("mechanism", "det-gd")));
-  spec.gamma = flags.GetDouble("gamma", 19.0);
+  // gamma comes from --gamma or from the --rho1/--rho2 requirement (as in
+  // perturb and mine --in), never from both.
+  if (flags.Has("rho1") || flags.Has("rho2")) {
+    if (flags.Has("gamma")) {
+      std::cerr << "--gamma and --rho1/--rho2 both set gamma; give one\n";
+      std::exit(2);
+    }
+    spec.gamma = Unwrap(core::GammaFromRequirement(RequirementFromFlags(flags)));
+  } else {
+    spec.gamma = flags.GetDouble("gamma", 19.0);
+  }
   // RAN-GD spread: --alpha is the absolute spread; --alpha-frac mirrors the
   // legacy perturb/audit convention (fraction of the max gamma * x, with
   // x = 1 / (gamma + |S_U| - 1)).

@@ -6,10 +6,18 @@
 # with the same design flags: perturbing the file and mining it is mining
 # with the same seed.
 #
-# Usage: tools/golden_roundtrip.sh [build-dir] [mechanism]
+# The design flags go to all three commands, so a --rho1/--rho2
+# requirement must design the same gamma on both sides. A boolean mechanism
+# has no file round trip: `mine --in` must refuse it (exit 2) instead of
+# reconstructing the file as DET-GD; and --gamma beside --rho1/--rho2 is
+# refused (exit 2) instead of one silently winning.
+#
+# Usage: tools/golden_roundtrip.sh [build-dir] [case]
 #   build-dir  default: <repo-root>/build
-#   mechanism  det-gd|ran-gd (ran-gd runs with --alpha-frac 0.5);
-#              default: both
+#   case       det-gd | ran-gd (--alpha-frac 0.5) |
+#              det-gd-rho (--rho1 0.1 --rho2 0.5, gamma 9) |
+#              refusals (both refusals above exit 2);
+#              default: all four
 
 set -euo pipefail
 
@@ -22,9 +30,9 @@ if [[ ! -x "$frapp" ]]; then
   exit 1
 fi
 
-mechanisms=(det-gd ran-gd)
+cases=(det-gd ran-gd det-gd-rho refusals)
 if [[ $# -ge 2 ]]; then
-  mechanisms=("$2")
+  cases=("$2")
 fi
 
 work="$(mktemp -d)"
@@ -33,11 +41,36 @@ trap 'rm -rf "$work"' EXIT
   --out "$work/census.csv" >/dev/null
 
 failures=0
-for mech in "${mechanisms[@]}"; do
-  design=()
-  if [[ "$mech" == ran-gd ]]; then
-    design=(--alpha-frac 0.5)
+
+# expect_usage_error MESSAGE ARG...: `frapp ARG...` must exit 2 and name
+# MESSAGE on stderr.
+expect_usage_error() {
+  local message="$1" status=0
+  shift
+  "$frapp" "$@" >/dev/null 2>"$work/err" || status=$?
+  if [[ "$status" -ne 2 ]] || ! grep -q -- "$message" "$work/err"; then
+    echo "FAIL: frapp $* exited $status, want 2 naming $message" >&2
+    cat "$work/err" >&2
+    failures=$((failures + 1))
+  else
+    echo "OK: frapp $1 refuses ($message)"
   fi
+}
+
+for case in "${cases[@]}"; do
+  mech="$case"
+  design=()
+  case "$case" in
+    ran-gd) design=(--alpha-frac 0.5) ;;
+    det-gd-rho) mech=det-gd; design=(--rho1 0.1 --rho2 0.5) ;;
+    refusals)
+      expect_usage_error "--mechanism" mine --dataset census --mechanism mask \
+        --in "$work/census.csv"
+      expect_usage_error "--gamma" mine --dataset census --run-pipeline \
+        --in "$work/census.csv" --gamma 19 --rho1 0.1 --rho2 0.5
+      continue
+      ;;
+  esac
   "$frapp" perturb --dataset census "${design[@]}" --in "$work/census.csv" \
     --out "$work/perturbed.csv" --seed 7 >/dev/null
   "$frapp" mine --dataset census "${design[@]}" --in "$work/perturbed.csv" \
@@ -46,10 +79,10 @@ for mech in "${mechanisms[@]}"; do
     --run-pipeline --in "$work/census.csv" --seed 7 --minsup 0.02 --top 20 \
     >"$work/live.txt" 2>/dev/null
   if ! diff -u "$work/live.txt" "$work/file.txt"; then
-    echo "FAIL: $mech perturb -> mine --in differs from mine --run-pipeline" >&2
+    echo "FAIL: $case perturb -> mine --in differs from mine --run-pipeline" >&2
     failures=$((failures + 1))
   else
-    echo "OK: $mech perturb -> mine --in matches mine --run-pipeline"
+    echo "OK: $case perturb -> mine --in matches mine --run-pipeline"
   fi
 done
 
