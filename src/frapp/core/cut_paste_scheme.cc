@@ -75,7 +75,7 @@ double CutPasteScheme::CutSizeProbability(size_t z) const {
   return 0.0;
 }
 
-StatusOr<data::BooleanVerticalIndex> CutPasteScheme::PerturbShardIndex(
+StatusOr<mining::VerticalIndex> CutPasteScheme::PerturbShardIndex(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
   if (shard.rows != nullptr &&
       shard.rows->schema().TotalCategories() != universe_bits_) {
@@ -250,73 +250,42 @@ StatusOr<double> CutPasteScheme::CalibrateRho(size_t cutoff_k, size_t record_ite
 
 StatusOr<double> CutPasteSupportEstimator::EstimateSupport(
     const mining::Itemset& itemset) {
-  const size_t k = itemset.size();
-  if (k == 0) return Status::InvalidArgument("empty itemset");
-  // For k > K the channel is structurally singular (rank min(K, k) + 1):
-  // the support is unreconstructible and the solve below would return 0
-  // after an exponential 2^k counting pass — the operator's documented
-  // "does not work after K-length itemsets" behaviour. Answer 0 up front.
-  if (k > scheme_.cutoff_k()) return 0.0;
-  if (k > data::BooleanVerticalIndex::kMaxPatternLength) {
-    // Only the pathological cutoff_k >= k > 2^k-cap configuration errors.
-    return Status::InvalidArgument("itemset too long for 2^k counting");
-  }
-  // A layout wider than the indexed table can reference bits no row has;
-  // such positions contribute zero hits, so the histogram over the in-range
-  // positions IS the full histogram (upper buckets stay empty).
-  std::vector<size_t> positions;
-  positions.reserve(k);
-  for (const mining::Item& item : itemset.items()) {
-    const size_t pos = layout_.BitPosition(item.attribute, item.category);
-    if (pos < source_->num_bits()) positions.push_back(pos);
-  }
-  FRAPP_ASSIGN_OR_RETURN(const std::vector<int64_t> histogram,
-                         source_->HitHistogram(positions));
-  linalg::Vector y(k + 1);
-  for (size_t j = 0; j < histogram.size(); ++j) {
-    y[j] = static_cast<double>(histogram[j]);
-  }
-  return scheme_.ReconstructFromHitHistogram(y, source_->num_rows(), k);
+  FRAPP_ASSIGN_OR_RETURN(const std::vector<double> supports,
+                         EstimateSupports({itemset}));
+  return supports[0];
 }
 
 StatusOr<std::vector<double>> CutPasteSupportEstimator::EstimateSupports(
     const std::vector<mining::Itemset>& itemsets) {
   std::vector<double> supports(itemsets.size(), 0.0);
-  std::vector<std::vector<size_t>> candidates;
+  std::vector<mining::Itemset> candidates;
   std::vector<size_t> slots;  // candidates[j] reconstructs itemsets[slots[j]]
-  candidates.reserve(itemsets.size());
-  slots.reserve(itemsets.size());
   for (size_t i = 0; i < itemsets.size(); ++i) {
-    const size_t k = itemsets[i].size();
-    if (k == 0) return Status::InvalidArgument("empty itemset");
-    if (k > scheme_.cutoff_k()) continue;  // structurally singular: stays 0
-    if (k > data::BooleanVerticalIndex::kMaxPatternLength) {
-      return Status::InvalidArgument("itemset too long for 2^k counting");
-    }
-    std::vector<size_t> positions;
-    positions.reserve(k);
-    for (const mining::Item& item : itemsets[i].items()) {
-      const size_t pos = layout_.BitPosition(item.attribute, item.category);
-      if (pos < source_->num_bits()) positions.push_back(pos);
-    }
-    candidates.push_back(std::move(positions));
+    if (itemsets[i].empty()) return Status::InvalidArgument("empty itemset");
+    // For k > K the channel is structurally singular (rank min(K, k) + 1):
+    // the support is unreconstructible and the solve would return 0 after
+    // an exponential 2^k counting pass — the operator's documented "does
+    // not work after K-length itemsets" behaviour. It stays 0 uncounted.
+    if (itemsets[i].size() > scheme_.cutoff_k()) continue;
+    // Only the pathological cutoff_k >= k > 2^k-cap configuration errors.
+    FRAPP_RETURN_IF_ERROR(SupersetCounter::CheckLength(itemsets[i]));
+    candidates.push_back(itemsets[i]);
     slots.push_back(i);
   }
-  if (candidates.empty()) return supports;
-  FRAPP_ASSIGN_OR_RETURN(const std::vector<std::vector<int64_t>> pattern_counts,
-                         source_->PatternCountsBatch(candidates));
-  for (size_t c = 0; c < pattern_counts.size(); ++c) {
-    const size_t k = itemsets[slots[c]].size();
+  // An empty stream has no rows to count; every support is 0.
+  if (candidates.empty() || counter_.num_rows() == 0) return supports;
+  FRAPP_ASSIGN_OR_RETURN(std::vector<std::vector<int64_t>> superset,
+                         counter_.Count(candidates));
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const size_t k = candidates[c].size();
+    SupersetCounter::MobiusExactCounts(superset[c]);
     const std::vector<int64_t> histogram =
-        data::BooleanVerticalIndex::HistogramFromPatternCounts(
-            pattern_counts[c], candidates[c].size());
+        SupersetCounter::HistogramFromPatternCounts(superset[c], k);
     linalg::Vector y(k + 1);
-    for (size_t j = 0; j < histogram.size(); ++j) {
-      y[j] = static_cast<double>(histogram[j]);
-    }
+    for (size_t j = 0; j <= k; ++j) y[j] = static_cast<double>(histogram[j]);
     FRAPP_ASSIGN_OR_RETURN(supports[slots[c]],
                            scheme_.ReconstructFromHitHistogram(
-                               y, source_->num_rows(), k));
+                               y, counter_.num_rows(), k));
   }
   return supports;
 }

@@ -25,13 +25,14 @@
 #include <vector>
 
 #include "frapp/common/statusor.h"
-#include "frapp/data/boolean_vertical_index.h"
+#include "frapp/core/superset_counts.h"
 #include "frapp/data/boolean_view.h"
-#include "frapp/data/pattern_count_source.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/linalg/lu.h"
 #include "frapp/linalg/matrix.h"
 #include "frapp/mining/apriori.h"
+#include "frapp/mining/count_source.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/random/rng.h"
 
 namespace frapp {
@@ -57,10 +58,11 @@ class CutPasteScheme {
   /// Applies the operator to the one-hot encoding of every row of `shard`
   /// on the global seeded-chunk grid (see core/seeded_chunking.h), writing
   /// each perturbed row straight into the bitmap planes of the shard's
-  /// index. The output depends only on (rows, global position, seed), and
-  /// any chunk-aligned shard partition concatenates bit for bit. The
-  /// shard's one-hot width must be universe_bits().
-  StatusOr<data::BooleanVerticalIndex> PerturbShardIndex(
+  /// mining::VerticalIndex (one plane per one-hot bit). The output depends
+  /// only on (rows, global position, seed), and any chunk-aligned shard
+  /// partition concatenates bit for bit. The shard's one-hot width must be
+  /// universe_bits().
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) const;
 
   /// Row-form oracle of PerturbShardIndex over `onehot` (one shard's one-hot
@@ -115,31 +117,28 @@ class CutPasteScheme {
   size_t universe_bits_;
 };
 
-/// Support oracle plugging C&P into Apriori. Every candidate's
-/// partial-support histogram comes from an abstract PatternCountSource — a
-/// sharded vertical bitmap index of the perturbed boolean database (no
-/// perturbed rows retained, so the pipeline can drop each shard's rows the
-/// moment they are indexed), or a frapp/dist coordinator merging remote
-/// workers' vectors.
+/// Support oracle plugging C&P into Apriori: per-candidate solve on the
+/// partial-support histogram of the candidate's one-hot bits, which the
+/// Mobius and popcount folds derive from its superset counts
+/// (SupersetCounter) over whatever count source holds the perturbed planes.
 class CutPasteSupportEstimator : public mining::SupportEstimator {
  public:
-  /// Reconstruction over whatever produces the total pattern counts.
-  CutPasteSupportEstimator(const CutPasteScheme& scheme, data::BooleanLayout layout,
-                           std::shared_ptr<data::PatternCountSource> source)
-      : scheme_(scheme), layout_(std::move(layout)), source_(std::move(source)) {}
+  CutPasteSupportEstimator(const CutPasteScheme& scheme,
+                           const data::CategoricalSchema& schema,
+                           std::shared_ptr<mining::SupportCountSource> source)
+      : scheme_(scheme), counter_(schema, std::move(source)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 
-  /// Whole-pass batch over PatternCountsBatch (few round trips on a remote
-  /// source), histograms derived per candidate by the shared popcount fold
-  /// — identical arithmetic to the one-at-a-time path.
+  /// Whole-pass batch: one SupersetCounter call over the candidates of
+  /// length <= K (longer ones are unreconstructible and stay 0), then the
+  /// folds and the solve per candidate.
   StatusOr<std::vector<double>> EstimateSupports(
       const std::vector<mining::Itemset>& itemsets) override;
 
  private:
   CutPasteScheme scheme_;
-  data::BooleanLayout layout_;
-  std::shared_ptr<data::PatternCountSource> source_;
+  SupersetCounter counter_;
 };
 
 }  // namespace core

@@ -65,7 +65,7 @@ double MaskScheme::ConditionNumberForLength(size_t itemset_length) const {
   return std::pow(1.0 / (2.0 * p_ - 1.0), static_cast<double>(itemset_length));
 }
 
-StatusOr<data::BooleanVerticalIndex> MaskScheme::PerturbShardIndex(
+StatusOr<mining::VerticalIndex> MaskScheme::PerturbShardIndex(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) const {
   const uint64_t threshold = random::Pcg64::BernoulliThreshold(1.0 - p_);
   return internal::PerturbOneHotPlanes(
@@ -135,59 +135,27 @@ StatusOr<double> MaskScheme::ReconstructFromPatternCounts(
 
 StatusOr<double> MaskSupportEstimator::EstimateSupport(
     const mining::Itemset& itemset) {
-  if (itemset.empty()) return Status::InvalidArgument("empty itemset");
-  if (itemset.size() > data::BooleanVerticalIndex::kMaxPatternLength) {
-    return Status::InvalidArgument("itemset too long for 2^k counting");
-  }
-  // An empty stream has no bits to resolve against; every support is 0.
-  if (source_->num_rows() == 0) return 0.0;
-  std::vector<size_t> positions;
-  positions.reserve(itemset.size());
-  for (const mining::Item& item : itemset.items()) {
-    const size_t pos = layout_.BitPosition(item.attribute, item.category);
-    if (pos >= source_->num_bits()) {
-      return Status::OutOfRange("bit position out of range");
-    }
-    positions.push_back(pos);
-  }
-  FRAPP_ASSIGN_OR_RETURN(const std::vector<int64_t> pattern_counts,
-                         source_->PatternCounts(positions));
-  std::vector<double> counts(pattern_counts.begin(), pattern_counts.end());
-  return scheme_.ReconstructFromPatternCounts(std::move(counts),
-                                              source_->num_rows());
+  FRAPP_ASSIGN_OR_RETURN(const std::vector<double> supports,
+                         EstimateSupports({itemset}));
+  return supports[0];
 }
 
 StatusOr<std::vector<double>> MaskSupportEstimator::EstimateSupports(
     const std::vector<mining::Itemset>& itemsets) {
   std::vector<double> supports(itemsets.size(), 0.0);
-  std::vector<std::vector<size_t>> candidates;
-  candidates.reserve(itemsets.size());
   for (const mining::Itemset& itemset : itemsets) {
-    if (itemset.empty()) return Status::InvalidArgument("empty itemset");
-    if (itemset.size() > data::BooleanVerticalIndex::kMaxPatternLength) {
-      return Status::InvalidArgument("itemset too long for 2^k counting");
-    }
-    if (source_->num_rows() == 0) continue;  // every support stays 0
-    std::vector<size_t> positions;
-    positions.reserve(itemset.size());
-    for (const mining::Item& item : itemset.items()) {
-      const size_t pos = layout_.BitPosition(item.attribute, item.category);
-      if (pos >= source_->num_bits()) {
-        return Status::OutOfRange("bit position out of range");
-      }
-      positions.push_back(pos);
-    }
-    candidates.push_back(std::move(positions));
+    FRAPP_RETURN_IF_ERROR(SupersetCounter::CheckLength(itemset));
   }
-  if (candidates.empty()) return supports;
-  FRAPP_ASSIGN_OR_RETURN(const std::vector<std::vector<int64_t>> pattern_counts,
-                         source_->PatternCountsBatch(candidates));
-  for (size_t c = 0; c < pattern_counts.size(); ++c) {
-    std::vector<double> counts(pattern_counts[c].begin(),
-                               pattern_counts[c].end());
+  // An empty stream has no rows to count; every support is 0.
+  if (counter_.num_rows() == 0) return supports;
+  FRAPP_ASSIGN_OR_RETURN(std::vector<std::vector<int64_t>> superset,
+                         counter_.Count(itemsets));
+  for (size_t c = 0; c < itemsets.size(); ++c) {
+    SupersetCounter::MobiusExactCounts(superset[c]);
+    std::vector<double> counts(superset[c].begin(), superset[c].end());
     FRAPP_ASSIGN_OR_RETURN(
         supports[c], scheme_.ReconstructFromPatternCounts(
-                         std::move(counts), source_->num_rows()));
+                         std::move(counts), counter_.num_rows()));
   }
   return supports;
 }

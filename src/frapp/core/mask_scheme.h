@@ -21,11 +21,12 @@
 #include <vector>
 
 #include "frapp/common/statusor.h"
-#include "frapp/data/boolean_vertical_index.h"
+#include "frapp/core/superset_counts.h"
 #include "frapp/data/boolean_view.h"
-#include "frapp/data/pattern_count_source.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/mining/apriori.h"
+#include "frapp/mining/count_source.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/random/rng.h"
 
 namespace frapp {
@@ -56,16 +57,17 @@ class MaskScheme {
   /// Flips every bit of the one-hot encoding of every row of `shard`
   /// independently with probability 1 - p, on the global seeded-chunk grid
   /// (core/seeded_chunking.h), straight into the bitmap planes of the
-  /// shard's index. The output depends only on (rows, global position,
-  /// seed), never on the thread count, and any chunk-aligned shard
-  /// partition concatenates bit for bit to the whole table's.
+  /// shard's mining::VerticalIndex (one plane per one-hot bit). The output
+  /// depends only on (rows, global position, seed), never on the thread
+  /// count, and any chunk-aligned shard partition concatenates bit for bit
+  /// to the whole table's.
   ///
   /// Within a chunk, draw i * B + b of the chunk's stream decides bit b of
   /// row i (B = one-hot width), exactly as in PerturbShardSeeded. Here each
   /// bit is one lane, a strided view of the chunk stream (Pcg64::Strided),
   /// several lanes step side by side, and each lane packs 64 rows' flips
   /// into one word that is XORed into its plane.
-  StatusOr<data::BooleanVerticalIndex> PerturbShardIndex(
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) const;
 
   /// Row-form oracle of PerturbShardIndex: flips every bit of every row of
@@ -92,33 +94,28 @@ class MaskScheme {
   double p_;
 };
 
-/// Support oracle plugging MASK into Apriori: one-hot layout resolution plus
-/// per-candidate tensor reconstruction. Every pattern count comes from an
-/// abstract PatternCountSource — a sharded vertical bitmap index of the
-/// perturbed boolean database (no perturbed rows retained, which is what
-/// lets the pipeline drop each shard's rows the moment they are indexed), or
-/// a frapp/dist coordinator merging remote workers' vectors.
+/// Support oracle plugging MASK into Apriori: per-candidate tensor
+/// reconstruction from the exact-pattern counts of the candidate's one-hot
+/// bits, which the Mobius fold derives from its superset counts
+/// (SupersetCounter) over whatever count source holds the perturbed planes.
 class MaskSupportEstimator : public mining::SupportEstimator {
  public:
-  /// Reconstruction over whatever produces the total pattern counts.
-  MaskSupportEstimator(const MaskScheme& scheme, data::BooleanLayout layout,
-                       std::shared_ptr<data::PatternCountSource> source)
-      : scheme_(scheme), layout_(std::move(layout)), source_(std::move(source)) {}
+  MaskSupportEstimator(const MaskScheme& scheme,
+                       const data::CategoricalSchema& schema,
+                       std::shared_ptr<mining::SupportCountSource> source)
+      : scheme_(scheme), counter_(schema, std::move(source)) {}
 
   StatusOr<double> EstimateSupport(const mining::Itemset& itemset) override;
 
-  /// Whole-pass batch: resolves every candidate's bit positions, fetches
-  /// all pattern counts through one PatternCountsBatch (a remote source
-  /// turns that into a few candidate-block round trips instead of one per
-  /// candidate), then reconstructs per candidate — identical arithmetic to
-  /// the one-at-a-time path.
+  /// Whole-pass batch: one SupersetCounter call (one source call for the
+  /// pass's new sub-itemsets), then the Mobius fold and the reconstruction
+  /// per candidate.
   StatusOr<std::vector<double>> EstimateSupports(
       const std::vector<mining::Itemset>& itemsets) override;
 
  private:
   MaskScheme scheme_;
-  data::BooleanLayout layout_;
-  std::shared_ptr<data::PatternCountSource> source_;
+  SupersetCounter counter_;
 };
 
 }  // namespace core

@@ -25,47 +25,18 @@ uint64_t SubsetDomainSize(const data::CategoricalSchema& schema,
 
 StatusOr<data::CategoricalTable> Mechanism::PerturbShard(const data::ShardView&,
                                                          uint64_t, size_t) {
-  return Status::Unimplemented(name() + " does not stream categorical shards");
-}
-
-StatusOr<mining::VerticalIndex> Mechanism::PerturbShardIndex(
-    const data::ShardView&, uint64_t, size_t) {
-  return Status::Unimplemented(name() + " does not stream categorical shards");
-}
-
-StatusOr<data::BooleanVerticalIndex> Mechanism::PerturbBooleanShardIndex(
-    const data::ShardView&, uint64_t, size_t) {
-  return Status::Unimplemented(name() + " does not stream boolean shards");
-}
-
-StatusOr<std::unique_ptr<mining::SupportEstimator>>
-Mechanism::MakeCountSourceEstimator(
-    std::shared_ptr<mining::SupportCountSource>) {
-  return Status::Unimplemented(
-      name() + " does not reconstruct from categorical count vectors");
-}
-
-StatusOr<std::unique_ptr<mining::SupportEstimator>>
-Mechanism::MakeBooleanCountSourceEstimator(
-    std::shared_ptr<data::PatternCountSource>) {
-  return Status::Unimplemented(
-      name() + " does not reconstruct from boolean pattern-count vectors");
+  return Status::Unimplemented(name() + " has no categorical row form");
 }
 
 void ShardIndexes::Append(ShardIndexes&& other) {
-  std::move(other.categorical.begin(), other.categorical.end(),
-            std::back_inserter(categorical));
-  std::move(other.boolean.begin(), other.boolean.end(),
-            std::back_inserter(boolean));
+  std::move(other.shards.begin(), other.shards.end(),
+            std::back_inserter(shards));
   num_rows += other.num_rows;
 }
 
 size_t ShardIndexes::MemoryBytes() const {
   size_t bytes = sizeof(ShardIndexes);
-  for (const mining::VerticalIndex& shard : categorical) {
-    bytes += sizeof(shard) + shard.MemoryBytes();
-  }
-  for (const data::BooleanVerticalIndex& shard : boolean) {
+  for (const mining::VerticalIndex& shard : shards) {
     bytes += sizeof(shard) + shard.MemoryBytes();
   }
   return bytes;
@@ -74,17 +45,9 @@ size_t ShardIndexes::MemoryBytes() const {
 Status PerturbIntoIndex(Mechanism& mechanism, const data::ShardView& shard,
                         uint64_t seed, size_t num_threads, ShardIndexes& out) {
   if (shard.size() == 0) return Status::OK();
-  if (mechanism.shard_kind() == Mechanism::ShardKind::kBoolean) {
-    FRAPP_ASSIGN_OR_RETURN(
-        data::BooleanVerticalIndex index,
-        mechanism.PerturbBooleanShardIndex(shard, seed, num_threads));
-    out.boolean.push_back(std::move(index));
-  } else {
-    FRAPP_ASSIGN_OR_RETURN(
-        mining::VerticalIndex index,
-        mechanism.PerturbShardIndex(shard, seed, num_threads));
-    out.categorical.push_back(std::move(index));
-  }
+  FRAPP_ASSIGN_OR_RETURN(mining::VerticalIndex index,
+                         mechanism.PerturbShardIndex(shard, seed, num_threads));
+  out.shards.push_back(std::move(index));
   out.num_rows += shard.size();
   return Status::OK();
 }
@@ -208,16 +171,16 @@ StatusOr<std::unique_ptr<MaskMechanism>> MaskMechanism::Create(
   return std::unique_ptr<MaskMechanism>(new MaskMechanism(schema, scheme));
 }
 
-StatusOr<data::BooleanVerticalIndex> MaskMechanism::PerturbBooleanShardIndex(
+StatusOr<mining::VerticalIndex> MaskMechanism::PerturbShardIndex(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   return scheme_.PerturbShardIndex(shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
-MaskMechanism::MakeBooleanCountSourceEstimator(
-    std::shared_ptr<data::PatternCountSource> source) {
+MaskMechanism::MakeCountSourceEstimator(
+    std::shared_ptr<mining::SupportCountSource> source) {
   return std::unique_ptr<mining::SupportEstimator>(
-      std::make_unique<MaskSupportEstimator>(scheme_, layout_,
+      std::make_unique<MaskSupportEstimator>(scheme_, schema_,
                                              std::move(source)));
 }
 
@@ -243,16 +206,16 @@ StatusOr<std::unique_ptr<CutPasteMechanism>> CutPasteMechanism::Create(
       new CutPasteMechanism(schema, std::move(scheme)));
 }
 
-StatusOr<data::BooleanVerticalIndex> CutPasteMechanism::PerturbBooleanShardIndex(
+StatusOr<mining::VerticalIndex> CutPasteMechanism::PerturbShardIndex(
     const data::ShardView& shard, uint64_t seed, size_t num_threads) {
   return scheme_.PerturbShardIndex(shard, seed, num_threads);
 }
 
 StatusOr<std::unique_ptr<mining::SupportEstimator>>
-CutPasteMechanism::MakeBooleanCountSourceEstimator(
-    std::shared_ptr<data::PatternCountSource> source) {
+CutPasteMechanism::MakeCountSourceEstimator(
+    std::shared_ptr<mining::SupportCountSource> source) {
   return std::unique_ptr<mining::SupportEstimator>(
-      std::make_unique<CutPasteSupportEstimator>(scheme_, layout_,
+      std::make_unique<CutPasteSupportEstimator>(scheme_, schema_,
                                                  std::move(source)));
 }
 

@@ -18,9 +18,6 @@
 #include "frapp/core/mask_scheme.h"
 #include "frapp/core/randomized_gamma.h"
 #include "frapp/core/subset_reconstruction.h"
-#include "frapp/data/boolean_view.h"
-#include "frapp/data/boolean_vertical_index.h"
-#include "frapp/data/pattern_count_source.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
 #include "frapp/mining/apriori.h"
@@ -50,61 +47,53 @@ class Mechanism {
   //
   // FRAPP's perturbation is per-record and every reconstruction input is a
   // row-partitionable count. So every mechanism has one client path, which
-  // perturbs a chunk-aligned row shard into its index (PerturbIntoIndex
-  // below), and one miner path, which reconstructs from total count vectors
-  // (Make(Boolean)CountSourceEstimator), wherever the counts were summed. A
-  // mechanism declares which index it builds: categorical shards perturb
-  // straight into mining::VerticalIndex bitmap planes (DET-GD, RAN-GD,
-  // IND-GD), and one-hot boolean shards straight into
-  // data::BooleanVerticalIndex planes (MASK, C&P); no perturbed rows are
-  // materialized on either path. `frapp perturb` writes this same
-  // seeded-chunk stream (PerturbShard over the whole table). The boolean
-  // schemes keep a row-form PerturbShardSeeded only as the tests' oracle.
+  // perturbs a chunk-aligned row shard straight into the bitmap planes of
+  // its mining::VerticalIndex (PerturbIntoIndex below), and one miner path,
+  // which reconstructs from total support counts over a
+  // mining::SupportCountSource (MakeCountSourceEstimator), wherever the
+  // counts were summed. All five mechanisms share both: DET-GD, RAN-GD and
+  // IND-GD perturb categorical values, MASK and C&P the one-hot bits of the
+  // same planes (one plane per (attribute, category) item either way), and
+  // their superset counts are supports of sub-itemsets
+  // (core/superset_counts.h). No perturbed rows are materialized on the
+  // engine path. `frapp perturb` writes this same seeded-chunk stream
+  // (PerturbShard over the whole table). The boolean schemes keep a
+  // row-form PerturbShardSeeded only as the tests' oracle.
 
-  /// Representation of a perturbed shard.
+  /// Whether a perturbed shard has a categorical row form.
   enum class ShardKind { kCategorical, kBoolean };
 
-  /// Which index this mechanism's shards perturb into.
+  /// kCategorical when PerturbShard is implemented (DET-GD, RAN-GD, IND-GD);
+  /// kBoolean for MASK and C&P, whose perturbed rows are one-hot bit sets.
+  /// Read only by perfbench's traced mine; no engine branches on it.
   virtual ShardKind shard_kind() const { return ShardKind::kCategorical; }
 
-  /// Client side of one categorical shard: perturbs the rows of `shard`
-  /// under the seeded-chunk determinism contract (global chunk indexing via
-  /// shard.global_begin, so any chunk-aligned partition concatenates to the
-  /// monolithic seeded output). Only for shard_kind() == kCategorical.
+  /// Client side of one categorical shard in row form: perturbs the rows of
+  /// `shard` under the seeded-chunk determinism contract (global chunk
+  /// indexing via shard.global_begin, so any chunk-aligned partition
+  /// concatenates to the monolithic seeded output). Only for shard_kind() ==
+  /// kCategorical.
   virtual StatusOr<data::CategoricalTable> PerturbShard(
       const data::ShardView& shard, uint64_t seed, size_t num_threads);
 
-  /// PerturbShard fused with mining::VerticalIndex::Build: the same seeded
-  /// draws, written straight into the shard's bitmap planes, so no
-  /// perturbed rows are materialized. raw_bits() equals that of
-  /// VerticalIndex::Build(*PerturbShard(shard, seed, n)) for every thread
-  /// count. Only for shard_kind() == kCategorical.
+  /// Client side of one shard: the same seeded draws, written straight into
+  /// the shard's bitmap planes, so no perturbed rows are materialized. For
+  /// the categorical mechanisms raw_bits() equals that of
+  /// VerticalIndex::Build(*PerturbShard(shard, seed, n)); for MASK and C&P
+  /// it equals the transpose of the scheme's row-form PerturbShardSeeded
+  /// output; both for every thread count.
   virtual StatusOr<mining::VerticalIndex> PerturbShardIndex(
-      const data::ShardView& shard, uint64_t seed, size_t num_threads);
-
-  /// Client side of one boolean shard: perturbs the one-hot bits of the
-  /// shard's rows under the same contract straight into the bitmap planes
-  /// of its data::BooleanVerticalIndex. raw_bits() equals the transpose of
-  /// the scheme's row-form PerturbShardSeeded output for every thread
-  /// count. Only for shard_kind() == kBoolean.
-  virtual StatusOr<data::BooleanVerticalIndex> PerturbBooleanShardIndex(
-      const data::ShardView& shard, uint64_t seed, size_t num_threads);
+      const data::ShardView& shard, uint64_t seed, size_t num_threads) = 0;
 
   /// Miner side over an ABSTRACT count source: the mechanism's
-  /// reconstruction fed by total integer count vectors, wherever they come
+  /// reconstruction fed by total integer support counts, wherever they come
   /// from — a mining::LocalSupportCountSource over the perturbed shards'
   /// indexes, a count store, or a frapp/dist coordinator merging per-worker
   /// vectors. Because reconstruction consumes only the totals, the result
-  /// is bit-identical across those placements. Only for shard_kind() ==
-  /// kCategorical.
+  /// is bit-identical across those placements.
   virtual StatusOr<std::unique_ptr<mining::SupportEstimator>>
-  MakeCountSourceEstimator(std::shared_ptr<mining::SupportCountSource> source);
-
-  /// Boolean counterpart (pattern-count vectors). Only for shard_kind() ==
-  /// kBoolean.
-  virtual StatusOr<std::unique_ptr<mining::SupportEstimator>>
-  MakeBooleanCountSourceEstimator(
-      std::shared_ptr<data::PatternCountSource> source);
+  MakeCountSourceEstimator(
+      std::shared_ptr<mining::SupportCountSource> source) = 0;
 };
 
 /// DET-GD: deterministic gamma-diagonal matrix (paper Sections 3, 5, 6).
@@ -185,23 +174,19 @@ class MaskMechanism : public Mechanism {
   double Amplification() const override;
 
   ShardKind shard_kind() const override { return ShardKind::kBoolean; }
-  StatusOr<data::BooleanVerticalIndex> PerturbBooleanShardIndex(
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
-  StatusOr<std::unique_ptr<mining::SupportEstimator>>
-  MakeBooleanCountSourceEstimator(
-      std::shared_ptr<data::PatternCountSource> source) override;
+  StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
+      std::shared_ptr<mining::SupportCountSource> source) override;
 
   const MaskScheme& scheme() const { return scheme_; }
 
  private:
   MaskMechanism(data::CategoricalSchema schema, MaskScheme scheme)
-      : schema_(std::move(schema)),
-        scheme_(scheme),
-        layout_(schema_) {}
+      : schema_(std::move(schema)), scheme_(scheme) {}
 
   data::CategoricalSchema schema_;
   MaskScheme scheme_;
-  data::BooleanLayout layout_;
 };
 
 /// Cut-and-Paste baseline (paper Section 7: K = 3, rho = 0.494).
@@ -215,23 +200,19 @@ class CutPasteMechanism : public Mechanism {
   double Amplification() const override;
 
   ShardKind shard_kind() const override { return ShardKind::kBoolean; }
-  StatusOr<data::BooleanVerticalIndex> PerturbBooleanShardIndex(
+  StatusOr<mining::VerticalIndex> PerturbShardIndex(
       const data::ShardView& shard, uint64_t seed, size_t num_threads) override;
-  StatusOr<std::unique_ptr<mining::SupportEstimator>>
-  MakeBooleanCountSourceEstimator(
-      std::shared_ptr<data::PatternCountSource> source) override;
+  StatusOr<std::unique_ptr<mining::SupportEstimator>> MakeCountSourceEstimator(
+      std::shared_ptr<mining::SupportCountSource> source) override;
 
   const CutPasteScheme& scheme() const { return scheme_; }
 
  private:
   CutPasteMechanism(data::CategoricalSchema schema, CutPasteScheme scheme)
-      : schema_(std::move(schema)),
-        scheme_(std::move(scheme)),
-        layout_(schema_) {}
+      : schema_(std::move(schema)), scheme_(std::move(scheme)) {}
 
   data::CategoricalSchema schema_;
   CutPasteScheme scheme_;
-  data::BooleanLayout layout_;
 };
 
 /// Independent-column gamma ablation (see independent_column_scheme.h).
@@ -287,11 +268,9 @@ class GammaSupportEstimator : public mining::SupportEstimator {
 };
 
 /// Per-shard indexes of perturbed shards, in global row order: what the
-/// client side hands the miner. Only the vector matching the mechanism's
-/// shard kind is filled.
+/// client side hands the miner.
 struct ShardIndexes {
-  std::vector<mining::VerticalIndex> categorical;
-  std::vector<data::BooleanVerticalIndex> boolean;
+  std::vector<mining::VerticalIndex> shards;
   size_t num_rows = 0;
 
   /// Moves `other`'s indexes (not their planes' bytes) onto the end.
@@ -303,10 +282,9 @@ struct ShardIndexes {
 };
 
 /// The one perturb-into-index step of every engine: perturbs `shard` under
-/// the seeded-chunk contract and appends its index to `out`. A categorical
-/// shard perturbs straight into VerticalIndex planes (PerturbShardIndex), a
-/// boolean shard into BooleanVerticalIndex planes
-/// (PerturbBooleanShardIndex). An empty shard appends nothing.
+/// the seeded-chunk contract straight into its VerticalIndex planes
+/// (PerturbShardIndex) and appends the index to `out`. An empty shard
+/// appends nothing.
 Status PerturbIntoIndex(Mechanism& mechanism, const data::ShardView& shard,
                         uint64_t seed, size_t num_threads, ShardIndexes& out);
 

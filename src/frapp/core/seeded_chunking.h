@@ -16,7 +16,7 @@
 // the perturbed rows' bitmap planes (PerturbShardBitmaps) — so the two
 // outputs draw the same streams in the same order and cannot disagree. The
 // boolean schemes (MASK, C&P) perturb one chunk's one-hot bits at a time
-// straight into the shard's BooleanVerticalIndex planes
+// straight into the same mining::VerticalIndex planes, one per one-hot bit
 // (PerturbOneHotPlanes); their row-form oracles (PerturbShardSeeded over a
 // BooleanTable) run a per-row function fed by PerturbOneHotRows.
 
@@ -31,7 +31,6 @@
 #include "frapp/common/parallel.h"
 #include "frapp/common/status.h"
 #include "frapp/common/statusor.h"
-#include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/data/table.h"
@@ -181,9 +180,10 @@ StatusOr<data::BooleanTable> PerturbOneHotRows(const data::BooleanTable& onehot,
   return out;
 }
 
-/// One shard's one-hot bitmap planes (data::BooleanLayout bit order) while
-/// its chunks perturb into them: plane p is `words` words, and bit i of a
-/// plane is local row i of the shard.
+/// One shard's one-hot bitmap planes while its chunks perturb into them:
+/// plane p is `words` words, and bit i of a plane is local row i of the
+/// shard. The planes follow mining::VerticalIndex::ItemOffsets, which is
+/// also data::BooleanLayout's bit order, so one-hot bit p is item slot p.
 struct OneHotPlanes {
   std::vector<const uint8_t*> cols;  // attribute j of local row i: cols[j][i]
   std::vector<size_t> offsets;       // first plane of attribute j
@@ -216,9 +216,9 @@ struct OneHotPlanes {
 /// calls perturb_chunk(planes, begin, end, rng) per chunk of local rows
 /// [begin, end) with that chunk's stream, on up to `num_threads` workers.
 /// The chunk function writes its rows' PERTURBED bits into the planes, which
-/// become the shard's index with no BooleanTable in between.
+/// become the shard's mining::VerticalIndex with no BooleanTable in between.
 template <typename ChunkFn>
-StatusOr<data::BooleanVerticalIndex> PerturbOneHotPlanes(
+StatusOr<mining::VerticalIndex> PerturbOneHotPlanes(
     const data::ShardView& shard, uint64_t seed, size_t num_threads,
     const ChunkFn& perturb_chunk) {
   FRAPP_RETURN_IF_ERROR(ValidateShardView(shard));
@@ -240,8 +240,8 @@ StatusOr<data::BooleanVerticalIndex> PerturbOneHotPlanes(
                      [&](size_t begin, size_t end, random::Pcg64& rng) {
                        perturb_chunk(planes, begin, end, rng);
                      });
-  return data::BooleanVerticalIndex::FromRaw(shard.size(), num_bits,
-                                             std::move(bits));
+  return mining::VerticalIndex::FromRaw(shard.size(), std::move(planes.offsets),
+                                        std::move(bits));
 }
 
 /// The checks both shard sinks run before touching a byte: the seeded-chunk

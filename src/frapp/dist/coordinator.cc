@@ -7,8 +7,6 @@
 #include "frapp/common/clock.h"
 #include "frapp/common/parallel.h"
 #include "frapp/common/tree_merge.h"
-#include "frapp/data/boolean_vertical_index.h"
-#include "frapp/data/pattern_count_source.h"
 #include "frapp/data/shard_io.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/dist/wire.h"
@@ -85,102 +83,6 @@ class Coordinator::RemoteSupportCountSource
   Coordinator* coordinator_;
 };
 
-/// PatternCountSource whose batches fan candidate BLOCKS of bit positions
-/// out (split on the wire's pattern budget, so a whole Apriori pass costs
-/// few round trips instead of one per candidate), tree-merge the RAW
-/// per-candidate superset vectors, and apply the Mobius transform once per
-/// candidate on the merged totals (it is linear, so this equals
-/// transforming per worker and summing — and bit-equals the single-process
-/// ShardedBooleanVerticalIndex path).
-class Coordinator::RemotePatternCountSource
-    : public data::PatternCountSource {
- public:
-  explicit RemotePatternCountSource(Coordinator* coordinator)
-      : coordinator_(coordinator) {}
-
-  size_t num_rows() const override {
-    return static_cast<size_t>(coordinator_->total_rows_);
-  }
-  size_t num_bits() const override {
-    return static_cast<size_t>(coordinator_->num_bits_);
-  }
-
-  StatusOr<std::vector<int64_t>> PatternCounts(
-      const std::vector<size_t>& positions) override {
-    FRAPP_ASSIGN_OR_RETURN(std::vector<std::vector<int64_t>> counts,
-                           PatternCountsBatch({positions}));
-    return std::move(counts[0]);
-  }
-
-  StatusOr<std::vector<std::vector<int64_t>>> PatternCountsBatch(
-      const std::vector<std::vector<size_t>>& candidates) override {
-    std::vector<std::vector<int64_t>> totals;
-    totals.reserve(candidates.size());
-    // Greedy blocks under the wire's pattern budget (and the categorical
-    // block cap, for symmetry): block boundaries only change round-trip
-    // granularity, never the integers merged per candidate.
-    size_t begin = 0;
-    while (begin < candidates.size()) {
-      uint64_t budget = 0;
-      size_t end = begin;
-      PatternRequest request;
-      while (end < candidates.size() &&
-             request.candidates.size() <
-                 coordinator_->options_.max_itemsets_per_request) {
-        const std::vector<size_t>& positions = candidates[end];
-        if (positions.size() >
-            data::BooleanVerticalIndex::kMaxPatternLength) {
-          return Status::InvalidArgument("pattern length above the 2^k cap");
-        }
-        const uint64_t patterns = 1ull << positions.size();
-        if (end > begin && budget + patterns > kMaxPatternsPerBatch) break;
-        budget += patterns;
-        request.candidates.emplace_back(positions.begin(), positions.end());
-        ++end;
-      }
-      std::vector<Message> responses;
-      FRAPP_RETURN_IF_ERROR(
-          coordinator_->Broadcast(EncodePatternRequest(request), &responses));
-      const uint64_t merge_start = common::NowNanos();
-      std::vector<PatternResponse> decoded(responses.size());
-      for (size_t w = 0; w < responses.size(); ++w) {
-        FRAPP_ASSIGN_OR_RETURN(decoded[w],
-                               DecodePatternResponse(responses[w]));
-        if (decoded[w].superset_counts.size() != end - begin) {
-          return Status::Internal(
-              "worker " + std::to_string(w) + " returned " +
-              std::to_string(decoded[w].superset_counts.size()) +
-              " superset vectors for " + std::to_string(end - begin) +
-              " candidates");
-        }
-      }
-      for (size_t c = 0; c < end - begin; ++c) {
-        const size_t patterns = 1ull << candidates[begin + c].size();
-        std::vector<std::vector<int64_t>> vectors(decoded.size());
-        for (size_t w = 0; w < decoded.size(); ++w) {
-          if (decoded[w].superset_counts[c].size() != patterns) {
-            return Status::Internal(
-                "worker " + std::to_string(w) +
-                " returned a wrong-sized superset vector");
-          }
-          vectors[w] = std::move(decoded[w].superset_counts[c]);
-        }
-        common::TreeMergeVectors(vectors);
-        std::vector<int64_t> merged = std::move(vectors[0]);
-        data::BooleanVerticalIndex::MobiusExactCounts(merged);
-        totals.push_back(std::move(merged));
-      }
-      coordinator_->internals_->merge_nanos.fetch_add(
-          common::NowNanos() - merge_start, std::memory_order_relaxed);
-      begin = end;
-    }
-    return totals;
-  }
-
- private:
-  Coordinator* coordinator_;
-};
-
 // ------------------------------------------------------------ coordinator --
 
 Coordinator::Coordinator(std::vector<std::unique_ptr<Transport>> workers,
@@ -211,11 +113,10 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Connect(
   std::unique_ptr<Coordinator> coordinator(
       new Coordinator(std::move(workers), schema, spec, options));
 
-  // The coordinator's own mechanism instance: reconstruction parameters and
-  // the shard-kind the workers must index. Never perturbs anything here.
+  // The coordinator's own mechanism instance: its reconstruction
+  // parameters. Never perturbs anything here.
   FRAPP_ASSIGN_OR_RETURN(coordinator->mechanism_,
                          MakeMechanism(spec, coordinator->schema_));
-  coordinator->kind_ = coordinator->mechanism_->shard_kind();
   coordinator->total_rows_ = total_rows;
 
   // Failure detection needs bounded waits on every connection; a zero
@@ -276,14 +177,7 @@ StatusOr<std::unique_ptr<Coordinator>> Coordinator::Connect(
                     "worker " + std::to_string(w) + ": " + refused.message());
     }
     FRAPP_ASSIGN_OR_RETURN(const HelloAck ack, DecodeHelloAck(*received));
-    const uint8_t want_kind =
-        coordinator->kind_ == core::Mechanism::ShardKind::kBoolean ? 1 : 0;
-    if (ack.shard_kind != want_kind) {
-      return Status::Internal("worker " + std::to_string(w) +
-                              " indexed the wrong shard representation");
-    }
     coordinator->workers_[w].rows = ack.num_rows;
-    coordinator->num_bits_ = std::max(coordinator->num_bits_, ack.num_bits);
   }
   FRAPP_RETURN_IF_ERROR(coordinator->ReassignOrphans(std::move(orphans)));
   return coordinator;
@@ -387,7 +281,6 @@ Status Coordinator::ReassignOrphans(std::vector<RowSpan> orphans) {
     // concurrently, and vector<bool> packs bits into shared words.
     std::vector<char> died(workers_.size(), 0);
     std::vector<Status> refused(workers_.size());
-    std::vector<uint64_t> seen_bits(workers_.size(), 0);
     const size_t fan_out =
         options_.num_threads == 0 ? workers_.size() : options_.num_threads;
     common::ParallelForChunks(workers_.size(), fan_out, [&](size_t w) {
@@ -420,7 +313,6 @@ Status Coordinator::ReassignOrphans(std::vector<RowSpan> orphans) {
         }
         workers_[w].ranges.push_back(span);
         workers_[w].rows += ack->num_rows;
-        seen_bits[w] = std::max(seen_bits[w], ack->num_bits);
         internals_->ranges_reassigned.fetch_add(1, std::memory_order_relaxed);
       }
     });
@@ -429,7 +321,6 @@ Status Coordinator::ReassignOrphans(std::vector<RowSpan> orphans) {
         return Status(refused[w].code(), "worker " + std::to_string(w) +
                                              ": " + refused[w].message());
       }
-      num_bits_ = std::max(num_bits_, seen_bits[w]);
       if (!died[w]) continue;
       MarkDead(w, &orphans);
       orphans.insert(orphans.end(), failed_spans[w].begin(),
@@ -552,16 +443,10 @@ Status Coordinator::Broadcast(const Message& request,
 
 StatusOr<std::unique_ptr<DistributedSupportEstimator>>
 Coordinator::MakeEstimator() {
-  std::unique_ptr<mining::SupportEstimator> inner;
-  if (kind_ == core::Mechanism::ShardKind::kBoolean) {
-    FRAPP_ASSIGN_OR_RETURN(
-        inner, mechanism_->MakeBooleanCountSourceEstimator(
-                   std::make_shared<RemotePatternCountSource>(this)));
-  } else {
-    FRAPP_ASSIGN_OR_RETURN(
-        inner, mechanism_->MakeCountSourceEstimator(
-                   std::make_shared<RemoteSupportCountSource>(this)));
-  }
+  FRAPP_ASSIGN_OR_RETURN(
+      std::unique_ptr<mining::SupportEstimator> inner,
+      mechanism_->MakeCountSourceEstimator(
+          std::make_shared<RemoteSupportCountSource>(this)));
   return std::unique_ptr<DistributedSupportEstimator>(
       new DistributedSupportEstimator(std::move(inner)));
 }

@@ -9,15 +9,15 @@
 //   candidate block --> every worker            (same request, fanned out)
 //   count vector    <-- every worker            (integers over ITS rows)
 //   tree-merge (integer sums, fixed worker order)
-//   boolean only: superset Mobius transform on the MERGED totals
 //   mechanism's reconstruction on the totals    (coordinator-local)
 //
-// Support counts are linear in the row partition and the Mobius transform is
-// linear too, so the merged integers equal the single-process pipeline's —
-// and since the reconstruction code consuming them is literally the same
-// (the mechanism's estimator over a SupportCountSource/PatternCountSource),
-// mined itemsets and reconstructed supports are BIT-IDENTICAL to
-// pipeline::PrivacyPipeline at any worker count, over any transport.
+// Support counts are linear in the row partition, so the merged integers
+// equal the single-process pipeline's — and since the reconstruction code
+// consuming them is literally the same (the mechanism's estimator over a
+// SupportCountSource; MASK and C&P fold their sub-itemset supports into
+// pattern counts after the merge), mined itemsets and reconstructed
+// supports are BIT-IDENTICAL to pipeline::PrivacyPipeline at any worker
+// count, over any transport.
 //
 // Traffic is O(workers x candidates) integers per pass; rows never cross
 // the wire. DistStats accounts for every byte both ways plus the merge
@@ -195,7 +195,6 @@ class Coordinator {
 
  private:
   class RemoteSupportCountSource;
-  class RemotePatternCountSource;
   struct Internals;
 
   /// A global row span a worker covers (chunk-aligned).
@@ -248,10 +247,7 @@ class Coordinator {
   MechanismSpec spec_;
   CoordinatorOptions options_;
   std::unique_ptr<core::Mechanism> mechanism_;
-  core::Mechanism::ShardKind kind_ =
-      core::Mechanism::ShardKind::kCategorical;
   uint64_t total_rows_ = 0;
-  uint64_t num_bits_ = 0;
   bool shut_down_ = false;
   std::unique_ptr<Internals> internals_;  // atomic stats counters
 };

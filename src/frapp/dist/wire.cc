@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "frapp/data/boolean_vertical_index.h"
 #include "frapp/dist/wire_io.h"
 
 namespace frapp {
@@ -18,8 +17,10 @@ using Writer = PayloadWriter;
 using Reader = PayloadReader;
 
 bool KnownMessageType(uint8_t type) {
+  // Types 5 and 6 (the pattern messages of protocol v3) are retired.
   return type >= static_cast<uint8_t>(MessageType::kHello) &&
-         type <= static_cast<uint8_t>(MessageType::kQueryResponse);
+         type <= static_cast<uint8_t>(MessageType::kQueryResponse) &&
+         type != 5 && type != 6;
 }
 
 }  // namespace
@@ -136,8 +137,6 @@ StatusOr<HelloRequest> DecodeHello(const Message& message) {
 Message EncodeHelloAck(const HelloAck& ack) {
   Writer w;
   w.U64(ack.num_rows);
-  w.U8(ack.shard_kind);
-  w.U64(ack.num_bits);
   return Message{MessageType::kHelloAck, w.Take()};
 }
 
@@ -147,13 +146,7 @@ StatusOr<HelloAck> DecodeHelloAck(const Message& message) {
   Reader r(message.payload.data(), message.payload.size());
   HelloAck ack;
   ack.num_rows = r.U64();
-  ack.shard_kind = r.U8();
-  ack.num_bits = r.U64();
   FRAPP_RETURN_IF_ERROR(r.Finish("HelloAck"));
-  if (ack.shard_kind > 1) {
-    return Status::InvalidArgument("HelloAck: unknown shard kind " +
-                                   std::to_string(ack.shard_kind));
-  }
   return ack;
 }
 
@@ -227,92 +220,6 @@ StatusOr<CountResponse> DecodeCountResponse(const Message& message) {
   return response;
 }
 
-Message EncodePatternRequest(const PatternRequest& request) {
-  Writer w;
-  w.U32(static_cast<uint32_t>(request.candidates.size()));
-  for (const std::vector<uint32_t>& positions : request.candidates) {
-    w.U16(static_cast<uint16_t>(positions.size()));
-    for (uint32_t position : positions) w.U32(position);
-  }
-  return Message{MessageType::kPatternRequest, w.Take()};
-}
-
-StatusOr<PatternRequest> DecodePatternRequest(const Message& message) {
-  FRAPP_RETURN_IF_ERROR(
-      ExpectType(message, MessageType::kPatternRequest, "PatternRequest"));
-  Reader r(message.payload.data(), message.payload.size());
-  const uint32_t n = r.U32();
-  PatternRequest request;
-  // Bounded reserve (2 bytes = the smallest candidate encoding): see
-  // DecodeCountRequest.
-  request.candidates.reserve(
-      r.failed() ? 0 : std::min<size_t>(n, r.remaining() / 2));
-  uint64_t total_patterns = 0;
-  for (uint32_t c = 0; c < n && !r.failed(); ++c) {
-    const uint16_t k = r.U16();
-    if (k > data::BooleanVerticalIndex::kMaxPatternLength) {
-      return Status::InvalidArgument(
-          "PatternRequest: " + std::to_string(k) +
-          " positions exceed the 2^k counting cap");
-    }
-    total_patterns += 1ull << k;
-    if (total_patterns > kMaxPatternsPerBatch) {
-      return Status::InvalidArgument(
-          "PatternRequest: batch exceeds the pattern budget (" +
-          std::to_string(kMaxPatternsPerBatch) + ")");
-    }
-    std::vector<uint32_t> positions;
-    positions.reserve(k);
-    for (uint16_t i = 0; i < k && !r.failed(); ++i) {
-      positions.push_back(r.U32());
-    }
-    request.candidates.push_back(std::move(positions));
-  }
-  FRAPP_RETURN_IF_ERROR(r.Finish("PatternRequest"));
-  return request;
-}
-
-Message EncodePatternResponse(const PatternResponse& response) {
-  Writer w;
-  w.U32(static_cast<uint32_t>(response.superset_counts.size()));
-  for (const std::vector<int64_t>& counts : response.superset_counts) {
-    w.U32(static_cast<uint32_t>(counts.size()));
-    for (int64_t count : counts) w.I64(count);
-  }
-  return Message{MessageType::kPatternResponse, w.Take()};
-}
-
-StatusOr<PatternResponse> DecodePatternResponse(const Message& message) {
-  FRAPP_RETURN_IF_ERROR(
-      ExpectType(message, MessageType::kPatternResponse, "PatternResponse"));
-  Reader r(message.payload.data(), message.payload.size());
-  const uint32_t n = r.U32();
-  PatternResponse response;
-  // Bounded reserve (4 bytes = the smallest per-candidate encoding): see
-  // DecodeCountRequest.
-  response.superset_counts.reserve(
-      r.failed() ? 0 : std::min<size_t>(n, r.remaining() / 4));
-  uint64_t total_patterns = 0;
-  for (uint32_t c = 0; c < n && !r.failed(); ++c) {
-    const uint32_t patterns = r.U32();
-    total_patterns += patterns;
-    if (total_patterns > kMaxPatternsPerBatch ||
-        (r.remaining() < static_cast<size_t>(patterns) * sizeof(int64_t) &&
-         !r.failed())) {
-      return Status::InvalidArgument(
-          "PatternResponse: counts exceed the payload or pattern budget");
-    }
-    std::vector<int64_t> counts;
-    counts.reserve(patterns);
-    for (uint32_t s = 0; s < patterns && !r.failed(); ++s) {
-      counts.push_back(r.I64());
-    }
-    response.superset_counts.push_back(std::move(counts));
-  }
-  FRAPP_RETURN_IF_ERROR(r.Finish("PatternResponse"));
-  return response;
-}
-
 Message EncodeShutdown() { return Message{MessageType::kShutdown, {}}; }
 
 Message EncodePing() { return Message{MessageType::kPing, {}}; }
@@ -343,7 +250,6 @@ StatusOr<AssignRange> DecodeAssignRange(const Message& message) {
 Message EncodeRangeAck(const RangeAck& ack) {
   Writer w;
   w.U64(ack.num_rows);
-  w.U64(ack.num_bits);
   return Message{MessageType::kRangeAck, w.Take()};
 }
 
@@ -353,7 +259,6 @@ StatusOr<RangeAck> DecodeRangeAck(const Message& message) {
   Reader r(message.payload.data(), message.payload.size());
   RangeAck ack;
   ack.num_rows = r.U64();
-  ack.num_bits = r.U64();
   FRAPP_RETURN_IF_ERROR(r.Finish("RangeAck"));
   return ack;
 }

@@ -23,20 +23,15 @@
 //   ----------------------------------- ----------------------------------
 //   Hello {version, schema fingerprint,
 //          seed, row range, mechanism}  ->
-//                                       <- HelloAck {rows, kind, bits}
+//                                       <- HelloAck {rows}
 //                                          or Error {status}
 //   CountRequest {candidate block}      ->
 //                                       <- CountResponse {u64 counts}
-//   PatternRequest {bit positions}      ->
-//                                       <- PatternResponse {i64 raw
-//                                          superset counts — the Mobius
-//                                          transform runs on the MERGED
-//                                          totals, coordinator side}
 //   Ping {}                             ->
 //                                       <- Pong {}  (liveness probe; valid
 //                                          before AND after the handshake)
 //   AssignRange {row range}             ->
-//                                       <- RangeAck {rows, bits}  (fault
+//                                       <- RangeAck {rows}  (fault
 //                                          recovery: a dead worker's chunk
 //                                          range re-ingested by a survivor)
 //   Shutdown {}                         -> (worker closes)
@@ -63,11 +58,13 @@ namespace dist {
 /// handshake rejects mismatches outright (no negotiation). v2 added the
 /// liveness and recovery messages (Ping/Pong, AssignRange/RangeAck); v3
 /// added the serve query family (QueryRequest/QueryResponse — payloads in
-/// serve/query_wire.h).
-inline constexpr uint32_t kProtocolVersion = 3;
+/// serve/query_wire.h); v4 retired the boolean pattern messages (types 5
+/// and 6, now unknown) and the HelloAck/RangeAck one-hot width: MASK and
+/// C&P count through CountRequest like every other mechanism.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// Hard cap on a frame's payload, rejecting corrupt length prefixes before
-/// they turn into allocations. 2^20 patterns x 8 bytes plus headroom.
+/// they turn into allocations.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
 
 /// Frame header bytes (u32 length + u8 type).
@@ -78,8 +75,8 @@ enum class MessageType : uint8_t {
   kHelloAck = 2,
   kCountRequest = 3,
   kCountResponse = 4,
-  kPatternRequest = 5,
-  kPatternResponse = 6,
+  // 5 and 6 carried the boolean pattern counts up to protocol v3; they
+  // decode as unknown types.
   kShutdown = 7,
   kError = 8,
   kPing = 9,
@@ -141,16 +138,9 @@ struct HelloRequest {
 struct HelloAck {
   /// Rows the worker ingested (|assigned range ∩ its stream|).
   uint64_t num_rows = 0;
-
-  /// core::Mechanism::ShardKind the worker indexed (0 categorical,
-  /// 1 boolean).
-  uint8_t shard_kind = 0;
-
-  /// One-hot width of the boolean index (0 for categorical workers).
-  uint64_t num_bits = 0;
 };
 
-/// One block of an Apriori pass's candidate list (categorical mechanisms).
+/// One block of an Apriori pass's candidate list.
 struct CountRequest {
   std::vector<mining::Itemset> itemsets;
 };
@@ -159,27 +149,6 @@ struct CountRequest {
 struct CountResponse {
   std::vector<uint64_t> counts;
 };
-
-/// One block of candidates' bit-position lists (boolean mechanisms): a
-/// whole Apriori pass batches into few frames instead of one round trip
-/// per candidate.
-struct PatternRequest {
-  std::vector<std::vector<uint32_t>> candidates;
-};
-
-/// superset_counts[c][S] = worker-local RAW superset-intersection count of
-/// subset S over candidates[c]'s positions (2^k_c entries, pre-Mobius: the
-/// transform is linear, so it runs once on the coordinator's merged
-/// totals).
-struct PatternResponse {
-  std::vector<std::vector<int64_t>> superset_counts;
-};
-
-/// Cap on the TOTAL pattern count (sum of 2^k_c) of one PatternRequest's
-/// batch: bounds the response at 16 MiB of i64 counts, under the frame
-/// cap with headroom. The coordinator splits candidate blocks to fit;
-/// decode rejects batches above it.
-inline constexpr uint64_t kMaxPatternsPerBatch = 1ull << 21;
 
 /// Worker -> coordinator failure report.
 struct ErrorResponse {
@@ -198,11 +167,9 @@ struct AssignRange {
 };
 
 /// Worker -> coordinator recovery ack: rows ingested for the assigned
-/// range (the coordinator re-verifies total coverage), plus the one-hot
-/// width for boolean mechanisms (0 otherwise).
+/// range (the coordinator re-verifies total coverage).
 struct RangeAck {
   uint64_t num_rows = 0;
-  uint64_t num_bits = 0;
 };
 
 Message EncodeHello(const HelloRequest& hello);
@@ -216,12 +183,6 @@ StatusOr<CountRequest> DecodeCountRequest(const Message& message);
 
 Message EncodeCountResponse(const CountResponse& response);
 StatusOr<CountResponse> DecodeCountResponse(const Message& message);
-
-Message EncodePatternRequest(const PatternRequest& request);
-StatusOr<PatternRequest> DecodePatternRequest(const Message& message);
-
-Message EncodePatternResponse(const PatternResponse& response);
-StatusOr<PatternResponse> DecodePatternResponse(const Message& message);
 
 Message EncodeShutdown();
 

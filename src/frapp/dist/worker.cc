@@ -4,7 +4,6 @@
 
 #include "frapp/core/mechanism.h"
 #include "frapp/data/shard_io.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/dist/mechanism_spec.h"
 #include "frapp/dist/wire.h"
@@ -17,22 +16,13 @@ namespace dist {
 namespace {
 
 /// The worker's post-ingest state: the local index of its perturbed
-/// range(s) (exactly one of the two populated, by shard kind), the
-/// mechanism, and the saved job description so a later AssignRange re-runs
-/// ingest with the SAME seed and spec.
+/// range(s), the mechanism, and the saved job description so a later
+/// AssignRange re-runs ingest with the SAME seed and spec.
 struct LocalState {
   std::unique_ptr<core::Mechanism> mechanism;
-  core::Mechanism::ShardKind kind = core::Mechanism::ShardKind::kCategorical;
-  mining::ShardedVerticalIndex categorical =
+  mining::ShardedVerticalIndex index =
       mining::ShardedVerticalIndex::FromShards({});
-  data::ShardedBooleanVerticalIndex boolean;
   HelloRequest hello;
-
-  size_t num_rows() const {
-    return kind == core::Mechanism::ShardKind::kBoolean
-               ? boolean.num_rows()
-               : categorical.num_rows();
-  }
 };
 
 /// Cache-aware ingest of one chunk-aligned range: serves from the
@@ -100,23 +90,15 @@ Status HandleHello(const Message& message, const WorkerOptions& options,
   }
   FRAPP_ASSIGN_OR_RETURN(state->mechanism,
                          MakeMechanism(hello.spec, options.schema));
-  state->kind = state->mechanism->shard_kind();
   state->hello = hello;
   // A re-handshake starts the job over: drop ranges held for the old one.
-  state->categorical = mining::ShardedVerticalIndex::FromShards({});
-  state->boolean = data::ShardedBooleanVerticalIndex();
+  state->index = mining::ShardedVerticalIndex::FromShards({});
 
   FRAPP_ASSIGN_OR_RETURN(
       CachedRangeIndex built,
       BuildOrFetchRange(hello.range_begin, hello.range_end, options, *state));
-  // Only the vector of the job's shard kind is non-empty.
-  state->categorical.AppendShards(std::move(built.categorical));
-  state->boolean.AppendShards(std::move(built.boolean));
-
-  const bool boolean = state->kind == core::Mechanism::ShardKind::kBoolean;
-  ack->num_rows = state->num_rows();
-  ack->shard_kind = boolean ? 1 : 0;
-  ack->num_bits = boolean ? state->boolean.num_bits() : 0;
+  state->index.AppendShards(std::move(built.shards));
+  ack->num_rows = state->index.num_rows();
   return Status::OK();
 }
 
@@ -131,19 +113,13 @@ Status HandleAssignRange(const Message& message, const WorkerOptions& options,
       BuildOrFetchRange(assign.range_begin, assign.range_end, options,
                         *state));
   ack->num_rows = built.num_rows;
-  ack->num_bits = built.boolean.empty() ? 0 : built.boolean.front().num_bits();
-  state->categorical.AppendShards(std::move(built.categorical));
-  state->boolean.AppendShards(std::move(built.boolean));
+  state->index.AppendShards(std::move(built.shards));
   return Status::OK();
 }
 
 StatusOr<Message> HandleCountRequest(const Message& message,
                                      const WorkerOptions& options,
                                      const LocalState& state) {
-  if (state.kind != core::Mechanism::ShardKind::kCategorical) {
-    return Status::FailedPrecondition(
-        "CountRequest against a boolean-kind worker");
-  }
   FRAPP_ASSIGN_OR_RETURN(const CountRequest request,
                          DecodeCountRequest(message));
   // Validate against the schema before touching bitmaps: a corrupt peer
@@ -160,41 +136,10 @@ StatusOr<Message> HandleCountRequest(const Message& message,
     }
   }
   const std::vector<size_t> counts =
-      state.categorical.CountSupports(request.itemsets, options.num_threads);
+      state.index.CountSupports(request.itemsets, options.num_threads);
   CountResponse response;
   response.counts.assign(counts.begin(), counts.end());
   return EncodeCountResponse(response);
-}
-
-StatusOr<Message> HandlePatternRequest(const Message& message,
-                                       const WorkerOptions& options,
-                                       const LocalState& state) {
-  if (state.kind != core::Mechanism::ShardKind::kBoolean) {
-    return Status::FailedPrecondition(
-        "PatternRequest against a categorical-kind worker");
-  }
-  FRAPP_ASSIGN_OR_RETURN(const PatternRequest request,
-                         DecodePatternRequest(message));
-  PatternResponse response;
-  response.superset_counts.reserve(request.candidates.size());
-  for (const std::vector<uint32_t>& candidate : request.candidates) {
-    std::vector<size_t> positions(candidate.begin(), candidate.end());
-    // A zero-row worker owns no bits; its superset counts are all zero for
-    // any positions. Otherwise bounds-check against the one-hot width.
-    if (state.boolean.num_shards() > 0) {
-      for (size_t position : positions) {
-        if (position >= state.boolean.num_bits()) {
-          return Status::OutOfRange(
-              "bit position " + std::to_string(position) +
-              " outside the one-hot layout (" +
-              std::to_string(state.boolean.num_bits()) + " bits)");
-        }
-      }
-    }
-    response.superset_counts.push_back(
-        state.boolean.SupersetCounts(positions, options.num_threads));
-  }
-  return EncodePatternResponse(response);
 }
 
 }  // namespace
@@ -235,11 +180,6 @@ Status ServeWorker(Transport& transport, const WorkerOptions& options) {
         reply = prepared ? HandleCountRequest(*received, options, state)
                          : StatusOr<Message>(Status::FailedPrecondition(
                                "CountRequest before a successful Hello"));
-        break;
-      case MessageType::kPatternRequest:
-        reply = prepared ? HandlePatternRequest(*received, options, state)
-                         : StatusOr<Message>(Status::FailedPrecondition(
-                               "PatternRequest before a successful Hello"));
         break;
       case MessageType::kPing:
         // Liveness is a property of the process, not the job: answered

@@ -10,11 +10,9 @@
 // single-process pass), indexes it, and drops the rows. From then on it
 // serves:
 //
-//   CountRequest    -> per-candidate support counts over the local
-//                      categorical index
-//   PatternRequest  -> RAW superset-intersection counts over the local
-//                      boolean index (pre-Mobius; the transform is linear
-//                      and runs once on the coordinator's merged totals)
+//   CountRequest    -> per-candidate support counts over the local index
+//                      (every mechanism: MASK and C&P ask for the supports
+//                      of their candidates' sub-itemsets)
 //   Ping            -> Pong (liveness; answered before AND after Hello)
 //   AssignRange     -> RangeAck, after ingesting ANOTHER chunk-aligned
 //                      range on top of the held one(s): the coordinator's

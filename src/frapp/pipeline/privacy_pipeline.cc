@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "frapp/common/parallel.h"
-#include "frapp/data/pattern_count_source.h"
 #include "frapp/mining/count_source.h"
 #include "frapp/pipeline/ingest_range.h"
 #include "frapp/pipeline/prefetching_table_source.h"
@@ -49,16 +48,11 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
                        options_.prefetch_parsers);
   }
   PipelineResult result;
-  const bool boolean_shards =
-      mechanism.shard_kind() == core::Mechanism::ShardKind::kBoolean;
-  // Perturbed bytes of a shard: eight per one-hot row, or the bitmap planes
-  // a categorical shard is perturbed straight into (one uint64_t per 64 rows
-  // per item).
+  // Perturbed bytes of a shard: the bitmap planes it is perturbed straight
+  // into, one uint64_t per 64 rows per item.
   const size_t total_categories = source.schema().TotalCategories();
   const auto perturbed_bytes = [&](size_t rows) {
-    return boolean_shards
-               ? rows * sizeof(uint64_t)
-               : total_categories * ((rows + 63) / 64) * sizeof(uint64_t);
+    return total_categories * ((rows + 63) / 64) * sizeof(uint64_t);
   };
   // A shard is in flight from its first perturbed byte until its index is
   // handed over.
@@ -89,22 +83,13 @@ StatusOr<PipelineResult> PrivacyPipeline::Run(core::Mechanism& mechanism,
   result.stats.max_shard_rows = ingest.stats.max_shard_rows;
   result.stats.source_wait_nanos = ingest.stats.source_wait_nanos;
 
-  std::unique_ptr<mining::SupportEstimator> estimator;
-  if (boolean_shards) {
-    FRAPP_ASSIGN_OR_RETURN(
-        estimator, mechanism.MakeBooleanCountSourceEstimator(
-                       std::make_shared<data::LocalPatternCountSource>(
-                           data::ShardedBooleanVerticalIndex::FromShards(
-                               std::move(ingest.indexes.boolean)),
-                           options_.num_threads)));
-  } else {
-    FRAPP_ASSIGN_OR_RETURN(
-        estimator, mechanism.MakeCountSourceEstimator(
-                       std::make_shared<mining::LocalSupportCountSource>(
-                           mining::ShardedVerticalIndex::FromShards(
-                               std::move(ingest.indexes.categorical)),
-                           options_.num_threads)));
-  }
+  FRAPP_ASSIGN_OR_RETURN(
+      const std::unique_ptr<mining::SupportEstimator> estimator,
+      mechanism.MakeCountSourceEstimator(
+          std::make_shared<mining::LocalSupportCountSource>(
+              mining::ShardedVerticalIndex::FromShards(
+                  std::move(ingest.indexes.shards)),
+              options_.num_threads)));
   FRAPP_ASSIGN_OR_RETURN(
       result.mined, mining::MineFrequentItemsets(source.schema(), *estimator,
                                                  options_.mining));

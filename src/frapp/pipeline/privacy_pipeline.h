@@ -4,9 +4,8 @@
 // FRAPP's guarantees are per-record, so the pipeline pulls chunk-aligned row
 // shards from a TableSource (in-memory table, chunked CSV stream, or
 // synthetic generator — see table_source.h) and streams each shard through
-// client-side perturbation into its vertical index: categorical shards are
-// perturbed straight into bitmap planes, one-hot boolean shards are indexed
-// and dropped. A streaming source's input rows are dropped the moment their
+// client-side perturbation straight into the bitmap planes of its vertical
+// index. A streaming source's input rows are dropped the moment their
 // shard is perturbed, so peak memory is O(in-flight shards x shard), never
 // O(table). Mining then runs over the merged per-shard indexes with
 // shard-parallel candidate counting. Because perturbation draws global
@@ -15,10 +14,10 @@
 // combination — parallelism and memory bounds are free of accuracy
 // semantics.
 //
-// Every mechanism streams: DET-GD, RAN-GD and IND-GD as categorical shards
-// counted by mining::ShardedVerticalIndex, MASK and C&P as one-hot boolean
-// shards counted by data::ShardedBooleanVerticalIndex (the superset Mobius
-// transform commutes with the row partition).
+// Every mechanism streams the same way: all five perturb into
+// mining::VerticalIndex planes counted by mining::ShardedVerticalIndex. MASK
+// and C&P count the supports of their candidates' sub-itemsets there and
+// fold them into pattern counts after the merge (core/superset_counts.h).
 //
 // Ingest can be pipelined: with PipelineOptions::prefetch_source the source
 // is pulled through a PrefetchingTableSource producer thread, so the next

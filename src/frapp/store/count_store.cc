@@ -7,7 +7,6 @@
 #include <fstream>
 
 #include "frapp/common/check.h"
-#include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/sharded_table.h"
 
 namespace frapp {
@@ -21,9 +20,9 @@ static_assert(CountStore::kSubstrateChunkRows == data::kShardAlignmentRows,
 namespace {
 
 constexpr char kMagic[8] = {'F', 'R', 'A', 'P', 'P', 'C', 'N', 'T'};
-constexpr uint32_t kFormatVersion = 2;
-// Magic + version + kind + six u64 fields, before the variable-length part.
-constexpr size_t kFixedHeaderBytes = 8 + 4 + 4 + 6 * 8;
+constexpr uint32_t kFormatVersion = 3;
+// Magic + version + five u64 fields, before the variable-length part.
+constexpr size_t kFixedHeaderBytes = 8 + 4 + 5 * 8;
 constexpr size_t kChecksumBytes = 8;
 
 void AppendBytes(std::string& buf, const void* data, size_t n) {
@@ -47,8 +46,8 @@ void AppendString(std::string& buf, const std::string& s) {
   AppendBytes(buf, s.data(), s.size());
 }
 
-/// Appends `n` 64-bit words (count vectors and substrate planes), little
-/// endian: one copy of the whole run on a little-endian host.
+/// Appends `n` 64-bit words (substrate planes), little endian: one copy of
+/// the whole run on a little-endian host.
 void AppendWords(std::string& buf, const void* words, size_t n) {
   if constexpr (std::endian::native == std::endian::little) {
     AppendBytes(buf, words, n * 8);
@@ -129,9 +128,8 @@ struct Cursor {
     return s;
   }
 
-  /// Reads `n` little-endian 64-bit words into `out` (uint64_t or int64_t
-  /// bit patterns). Callers bound `n` by the image size first, so n * 8
-  /// cannot wrap.
+  /// Reads `n` little-endian 64-bit words into `out`. Callers bound `n` by
+  /// the image size first, so n * 8 cannot wrap.
   Status ReadWords(const std::string& what, void* out, size_t n) {
     if (!Need(n * 8)) return Truncated(what);
     if constexpr (std::endian::native == std::endian::little) {
@@ -159,13 +157,6 @@ StoreKey KeyOfItemset(const mining::Itemset& itemset) {
   return key;
 }
 
-StoreKey KeyOfPositions(const std::vector<size_t>& positions) {
-  StoreKey key;
-  key.reserve(positions.size());
-  for (size_t p : positions) key.push_back(static_cast<uint32_t>(p));
-  return key;
-}
-
 size_t StoreKeyHash::operator()(const StoreKey& key) const {
   uint64_t h = 0xcbf29ce484222325ULL;
   for (uint32_t word : key) {
@@ -177,14 +168,14 @@ size_t StoreKeyHash::operator()(const StoreKey& key) const {
   return static_cast<size_t>(h);
 }
 
-const std::vector<int64_t>* CountStore::Find(const StoreKey& key) const {
+const int64_t* CountStore::Find(const StoreKey& key) const {
   const auto it = entries_.find(key);
-  return it == entries_.end() ? nullptr : &it->second.counts;
+  return it == entries_.end() ? nullptr : &it->second.count;
 }
 
-void CountStore::Put(const StoreKey& key, std::vector<int64_t> counts) {
+void CountStore::Put(const StoreKey& key, int64_t count) {
   Entry& entry = entries_[key];
-  entry.counts = std::move(counts);
+  entry.count = count;
   entry.epoch = epoch_;
 }
 
@@ -226,11 +217,9 @@ Status CountStore::SaveToFile(const std::string& path) const {
   std::string buf;
   AppendBytes(buf, kMagic, sizeof(kMagic));
   AppendU32(buf, kFormatVersion);
-  AppendU32(buf, static_cast<uint32_t>(identity_.kind));
   AppendU64(buf, identity_.schema_fingerprint);
   AppendU64(buf, identity_.perturb_seed);
   AppendU64(buf, identity_.retention_bits);
-  AppendU64(buf, identity_.num_bits);
   AppendU64(buf, window_begin_);
   AppendU64(buf, high_water_);
   AppendString(buf, identity_.source_id);
@@ -248,9 +237,7 @@ Status CountStore::SaveToFile(const std::string& path) const {
   for (const StoreKey* key : keys) {
     AppendU32(buf, static_cast<uint32_t>(key->size()));
     for (uint32_t word : *key) AppendU32(buf, word);
-    const std::vector<int64_t>& counts = entries_.at(*key).counts;
-    AppendU32(buf, static_cast<uint32_t>(counts.size()));
-    AppendWords(buf, counts.data(), counts.size());
+    AppendU64(buf, static_cast<uint64_t>(entries_.at(*key).count));
   }
 
   // The substrate must tile the committed window exactly; a store that
@@ -326,17 +313,10 @@ StatusOr<CountStore> CountStore::LoadFromFile(const std::string& path) {
         "'" + path + "' fails its checksum (truncated or corrupted)");
   }
 
-  FRAPP_ASSIGN_OR_RETURN(const uint32_t kind_word, cursor.ReadU32("header"));
-  if (kind_word > static_cast<uint32_t>(CountKind::kBooleanSuperset)) {
-    return Status::InvalidArgument("'" + path + "' has unknown count kind " +
-                                   std::to_string(kind_word));
-  }
   StoreIdentity identity;
-  identity.kind = static_cast<CountKind>(kind_word);
   FRAPP_ASSIGN_OR_RETURN(identity.schema_fingerprint, cursor.ReadU64("header"));
   FRAPP_ASSIGN_OR_RETURN(identity.perturb_seed, cursor.ReadU64("header"));
   FRAPP_ASSIGN_OR_RETURN(identity.retention_bits, cursor.ReadU64("header"));
-  FRAPP_ASSIGN_OR_RETURN(identity.num_bits, cursor.ReadU64("header"));
   FRAPP_ASSIGN_OR_RETURN(const uint64_t window_begin, cursor.ReadU64("header"));
   FRAPP_ASSIGN_OR_RETURN(const uint64_t high_water, cursor.ReadU64("header"));
   FRAPP_ASSIGN_OR_RETURN(identity.source_id, cursor.ReadString("source id"));
@@ -354,13 +334,8 @@ StatusOr<CountStore> CountStore::LoadFromFile(const std::string& path) {
   store.entries_.reserve(static_cast<size_t>(num_entries));
   for (uint64_t e = 0; e < num_entries; ++e) {
     FRAPP_ASSIGN_OR_RETURN(const uint32_t key_len, cursor.ReadU32("entry key"));
-    // Boolean keys are capped by the 2^k transform; support keys by the
-    // u16 attribute space (one item per attribute).
-    const uint32_t max_key_len =
-        store.identity_.kind == CountKind::kSupport
-            ? 0xffffu
-            : data::BooleanVerticalIndex::kMaxPatternLength;
-    if (key_len == 0 || key_len > max_key_len) {
+    // One item per attribute, attributes in the u16 space.
+    if (key_len == 0 || key_len > 0xffffu) {
       return Status::InvalidArgument("'" + path + "' entry " +
                                      std::to_string(e) +
                                      " has implausible key length " +
@@ -370,20 +345,10 @@ StatusOr<CountStore> CountStore::LoadFromFile(const std::string& path) {
     for (uint32_t& word : key) {
       FRAPP_ASSIGN_OR_RETURN(word, cursor.ReadU32("entry key"));
     }
-    FRAPP_ASSIGN_OR_RETURN(const uint32_t counts_len,
-                           cursor.ReadU32("entry counts"));
-    const uint32_t want_len =
-        store.identity_.kind == CountKind::kSupport ? 1u : (1u << key_len);
-    if (counts_len != want_len) {
-      return Status::InvalidArgument(
-          "'" + path + "' entry " + std::to_string(e) + " has " +
-          std::to_string(counts_len) + " counts, kind requires " +
-          std::to_string(want_len));
-    }
     Entry entry;
-    entry.counts.resize(counts_len);
-    FRAPP_RETURN_IF_ERROR(
-        cursor.ReadWords("entry counts", entry.counts.data(), counts_len));
+    FRAPP_ASSIGN_OR_RETURN(const uint64_t count,
+                           cursor.ReadU64("entry counts"));
+    entry.count = static_cast<int64_t>(count);
     if (!store.entries_.emplace(std::move(key), std::move(entry)).second) {
       return Status::InvalidArgument("'" + path + "' entry " +
                                      std::to_string(e) + " repeats a key");

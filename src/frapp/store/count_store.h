@@ -1,42 +1,38 @@
 // Materialized per-candidate count store: the persistence half of
 // incremental append-only mining (frapp/store/incremental_mine.h).
 //
-// The seeded-chunk contract (random/chunk_rng.h) makes perturbation a pure
-// function of (chunk index, global seed), and both counting substrates are
-// LINEAR over row partitions — categorical itemset counts add directly, and
-// boolean superset-intersection vectors add because the Mobius transform to
-// exact-pattern counts is linear and can run per-query after any merge. So
-// the counts of rows [window_begin, high_water) never need recounting: a
-// store keeps them materialized per candidate, and growing the data by
-// whole chunks only costs counting the NEW chunks.
+// The seeded-chunk contract (core/seeded_chunking.h) makes perturbation a
+// pure function of (chunk index, global seed), and support counts are
+// LINEAR over row partitions: itemset counts add directly, for all five
+// mechanisms (MASK and C&P fold their sub-itemset supports into pattern
+// counts after any merge). So the counts of rows [window_begin, high_water)
+// never need recounting: a store keeps them materialized per itemset, and
+// growing the data by whole chunks only costs counting the NEW chunks.
 //
 // A store is only reusable when it describes EXACTLY the same perturbed
 // counting problem, so its identity pins everything that could change a
 // single count bit: the source id, the schema fingerprint, the mechanism's
 // canonical spec key (exact float bit patterns — dist::CanonicalSpecKey),
-// the perturbation seed, the counting kind, the boolean one-hot width, and
-// the retention threshold's exact double bits (which decides WHICH
-// candidates are retained, see incremental_mine.h). Loading a file whose
-// identity differs from the requested one is an error, never a silent
-// re-derivation from mismatched counts.
+// the perturbation seed, and the retention threshold's exact double bits
+// (which decides WHICH candidates are retained, see incremental_mine.h).
+// Loading a file whose identity differs from the requested one is an
+// error, never a silent re-derivation from mismatched counts.
 //
 // On-disk format FRAPPCNT (style of data/shard_io.h, little-endian):
 //
 //   offset  size  field
 //   0       8     magic "FRAPPCNT"
-//   8       4     u32 format version (2)
-//   12      4     u32 count kind (0 = support, 1 = boolean superset)
-//   16      8     u64 schema fingerprint (data::SchemaFingerprint)
-//   24      8     u64 perturbation seed
-//   32      8     u64 retention threshold, IEEE-754 double bit pattern
-//   40      8     u64 boolean one-hot width (0 for support kind)
-//   48      8     u64 window begin row (chunk-aligned)
-//   56      8     u64 high-water row (chunk-aligned)
-//   64      ...   u32 length + bytes: source id
+//   8       4     u32 format version (3)
+//   12      8     u64 schema fingerprint (data::SchemaFingerprint)
+//   20      8     u64 perturbation seed
+//   28      8     u64 retention threshold, IEEE-754 double bit pattern
+//   36      8     u64 window begin row (chunk-aligned)
+//   44      8     u64 high-water row (chunk-aligned)
+//   52      ...   u32 length + bytes: source id
 //   ...     ...   u32 length + bytes: canonical mechanism spec key
 //   ...     8     u64 entry count
 //   ...     ...   entries, sorted by key: u32 key length, key words (u32
-//                 each), u32 count length, counts (int64 bit patterns)
+//                 each), one count (int64 bit pattern)
 //   ...     8     u64 substrate planes per chunk (0 = no substrate)
 //   ...     8     u64 substrate chunk count
 //   ...     ...   substrate chunks in window order, each planes * 128
@@ -46,11 +42,13 @@
 //                 the little-endian u64 words of that image, then over
 //                 its trailing (size % 8) bytes one at a time
 //
-// Version 2 changed only the checksum (version 1 hashed byte by byte); the
-// byte layout is unchanged. A version 1 file fails to load with a "format
-// version" error: a store is derived data, so delete it and re-run to
-// rebuild it. Count vectors and substrate planes are copied as whole runs
-// of words on little-endian hosts.
+// Version 2 changed only the checksum (version 1 hashed byte by byte).
+// Version 3 dropped the count kind and the one-hot width from the header
+// and stores one count per itemset key: MASK and C&P keys are itemsets too,
+// where version 2 kept 2^k superset counts per boolean candidate. Files of
+// any other version fail to load with a "format version" error: a store is
+// derived data, so delete it and re-run to rebuild it. Substrate planes are
+// copied as whole runs of words on little-endian hosts.
 //
 // The substrate is the perturbed database itself, materialized as per-chunk
 // bitmap-index planes. It is what makes store MISSES cheap: a candidate
@@ -79,16 +77,6 @@
 namespace frapp {
 namespace store {
 
-/// What one stored count vector means.
-enum class CountKind : uint32_t {
-  /// Categorical mechanisms (DET-GD, RAN-GD, IND-GD): key encodes an
-  /// itemset, the vector is one perturbed support count.
-  kSupport = 0,
-  /// Boolean mechanisms (MASK, C&P): key lists bit positions, the vector is
-  /// the 2^k PRE-Mobius superset-intersection counts.
-  kBooleanSuperset = 1,
-};
-
 /// Everything that must match bit-for-bit for stored counts to be reusable.
 struct StoreIdentity {
   std::string source_id;
@@ -97,23 +85,16 @@ struct StoreIdentity {
   uint64_t perturb_seed = 0;
   /// Exact IEEE-754 bits of the superset retention threshold.
   uint64_t retention_bits = 0;
-  CountKind kind = CountKind::kSupport;
-  /// Boolean one-hot width; 0 for the support kind.
-  uint64_t num_bits = 0;
 
   friend bool operator==(const StoreIdentity&, const StoreIdentity&) = default;
 };
 
-/// Key of one stored candidate. Support kind: one word per item,
-/// (attribute << 16) | category, in itemset order. Boolean kind: the sorted
-/// bit positions.
+/// Key of one stored itemset: one word per item, (attribute << 16) |
+/// category, in itemset order.
 using StoreKey = std::vector<uint32_t>;
 
-/// StoreKey of a categorical itemset.
+/// StoreKey of an itemset.
 StoreKey KeyOfItemset(const mining::Itemset& itemset);
-
-/// StoreKey of a boolean candidate's bit positions.
-StoreKey KeyOfPositions(const std::vector<size_t>& positions);
 
 /// FNV-1a over the key words; shared by the store and the per-pass count
 /// maps of the incremental driver.
@@ -122,9 +103,8 @@ struct StoreKeyHash {
 };
 
 /// One chunk of the materialized perturbed substrate: the raw bitmap planes
-/// of the chunk's vertical index (mining::VerticalIndex::raw_bits() for the
-/// support kind, data::BooleanVerticalIndex::raw_bits() for the boolean
-/// kind), covering exactly kSubstrateChunkRows rows — substrate_planes *
+/// of the chunk's vertical index (mining::VerticalIndex::raw_bits()),
+/// covering exactly kSubstrateChunkRows rows — substrate_planes *
 /// kSubstrateChunkWords words, plane-major.
 struct SubstrateChunk {
   std::vector<uint64_t> words;
@@ -159,16 +139,16 @@ class CountStore {
 
   size_t num_entries() const { return entries_.size(); }
 
-  /// Stored counts for `key`, or nullptr when the key is not materialized.
-  const std::vector<int64_t>* Find(const StoreKey& key) const;
+  /// Stored count of `key`, or nullptr when the key is not materialized.
+  const int64_t* Find(const StoreKey& key) const;
 
   /// Starts a mutation run: Puts from now on mark their entries as live for
   /// the next Commit.
   void BeginRun() { ++epoch_; }
 
-  /// Stores the fully merged counts of `key` for the run's target window
-  /// and marks the entry live. Overwrites any previous value.
-  void Put(const StoreKey& key, std::vector<int64_t> counts);
+  /// Stores the fully merged count of `key` for the run's target window and
+  /// marks the entry live. Overwrites any previous value.
+  void Put(const StoreKey& key, int64_t count);
 
   /// Ends the run: advances to [window_begin, high_water) and erases every
   /// entry the run did not Put. Returns how many entries were dropped.
@@ -198,7 +178,7 @@ class CountStore {
 
  private:
   struct Entry {
-    std::vector<int64_t> counts;
+    int64_t count = 0;
     uint64_t epoch = 0;
   };
 

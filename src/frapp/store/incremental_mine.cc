@@ -10,10 +10,7 @@
 #include <vector>
 
 #include "frapp/core/mechanism.h"
-#include "frapp/data/boolean_vertical_index.h"
-#include "frapp/data/pattern_count_source.h"
 #include "frapp/data/shard_io.h"
-#include "frapp/data/sharded_boolean_vertical_index.h"
 #include "frapp/data/sharded_table.h"
 #include "frapp/mining/count_source.h"
 #include "frapp/mining/sharded_vertical_index.h"
@@ -47,19 +44,12 @@ using Segment = core::ShardIndexes;
 /// into a countable segment — the zero-perturbation path that serves both
 /// window expiry and superset-fallback recounts from the store itself.
 Segment SegmentFromSubstrate(const CountStore& store, size_t chunk_begin,
-                             size_t chunk_end, bool boolean_shards,
-                             const std::vector<size_t>& offsets,
-                             size_t num_bits) {
+                             size_t chunk_end,
+                             const std::vector<size_t>& offsets) {
   Segment segment;
   for (size_t c = chunk_begin; c < chunk_end; ++c) {
-    const SubstrateChunk& chunk = store.substrate()[c];
-    if (boolean_shards) {
-      segment.boolean.push_back(
-          data::BooleanVerticalIndex::FromRaw(kChunk, num_bits, chunk.words));
-    } else {
-      segment.categorical.push_back(
-          mining::VerticalIndex::FromRaw(kChunk, offsets, chunk.words));
-    }
+    segment.shards.push_back(mining::VerticalIndex::FromRaw(
+        kChunk, offsets, store.substrate()[c].words));
     segment.num_rows += kChunk;
   }
   return segment;
@@ -74,33 +64,26 @@ struct CountableSegment {
   CountableSegment(Segment segment, size_t num_threads)
       : rows(segment.num_rows),
         threads(segment.num_rows < 2 * kChunk ? 1 : num_threads),
-        categorical(mining::ShardedVerticalIndex::FromShards(
-            std::move(segment.categorical))),
-        boolean(data::ShardedBooleanVerticalIndex::FromShards(
-            std::move(segment.boolean))) {}
+        index(mining::ShardedVerticalIndex::FromShards(
+            std::move(segment.shards))) {}
 
   size_t rows;
   size_t threads;
-  mining::ShardedVerticalIndex categorical;
-  data::ShardedBooleanVerticalIndex boolean;
+  mining::ShardedVerticalIndex index;
 };
 
-/// The window's one count source: every Apriori pass of either kind asks it
-/// for its candidates' totals over rows [window_begin, total), in one batch.
-/// Each key this run has not seen yet is merged exactly once:
+/// The window's one count source: every Apriori pass asks it for its
+/// itemsets' totals over rows [window_begin, total), in one batch. Each key
+/// this run has not seen yet is merged exactly once:
 ///
 ///   base   = stored - expired (a store hit), or a recount of the stored
 ///            range from the substrate (a miss; zero when nothing is stored)
 ///   value  = base + delta     (what the run commits to the store)
-///   answer = value + tail     (what the estimator gets; boolean answers
-///                              then take their Mobius transform)
+///   answer = value + tail     (what the estimator gets)
 ///
 /// The per-run memo of those entries serves every later query of the key
 /// (the second lattice walk) and is the set of entries the run commits.
-/// Only counting a key list on one segment and the final Mobius step depend
-/// on the kind.
-class WindowCountSource final : public mining::SupportCountSource,
-                                public data::PatternCountSource {
+class WindowCountSource final : public mining::SupportCountSource {
  public:
   struct Parts {
     /// The store to merge against; null when the new window swallows it.
@@ -113,13 +96,10 @@ class WindowCountSource final : public mining::SupportCountSource,
     std::function<Segment()> stored_range;
   };
 
-  WindowCountSource(Parts parts, bool boolean, size_t num_rows,
-                    size_t num_bits, size_t num_threads,
+  WindowCountSource(Parts parts, size_t num_rows, size_t num_threads,
                     IncrementalStats& stats)
       : store_(parts.store),
-        boolean_(boolean),
         num_rows_(num_rows),
-        num_bits_(num_bits),
         num_threads_(num_threads),
         stats_(stats),
         expired_(std::move(parts.expired), num_threads),
@@ -128,120 +108,23 @@ class WindowCountSource final : public mining::SupportCountSource,
         stored_range_(std::move(parts.stored_range)) {}
 
   size_t num_rows() const override { return num_rows_; }
-  size_t num_bits() const override { return num_bits_; }
 
+  /// The one hit/miss/expiry/fallback merge.
   StatusOr<std::vector<uint64_t>> CountSupports(
       const std::vector<mining::Itemset>& itemsets) override {
-    std::vector<StoreKey> keys(itemsets.size());
-    for (size_t i = 0; i < itemsets.size(); ++i) {
-      keys[i] = KeyOfItemset(itemsets[i]);
-    }
-    const auto count_on = [&itemsets](const CountableSegment& segment,
-                                      const std::vector<size_t>& slots) {
-      std::vector<size_t> counts;
-      if (slots.size() == itemsets.size()) {  // the whole batch, in order
-        counts = segment.categorical.CountSupports(itemsets, segment.threads);
-      } else {
-        std::vector<mining::Itemset> subset;
-        subset.reserve(slots.size());
-        for (size_t i : slots) subset.push_back(itemsets[i]);
-        counts = segment.categorical.CountSupports(subset, segment.threads);
-      }
-      return std::vector<int64_t>(counts.begin(), counts.end());
-    };
-    FRAPP_ASSIGN_OR_RETURN(const std::vector<const Entry*> entries,
-                           Merge(std::move(keys), count_on));
-    std::vector<uint64_t> totals(entries.size());
-    for (size_t i = 0; i < entries.size(); ++i) {
-      totals[i] = static_cast<uint64_t>(entries[i]->answer[0]);
-    }
-    return totals;
-  }
-
-  StatusOr<std::vector<int64_t>> PatternCounts(
-      const std::vector<size_t>& positions) override {
-    FRAPP_ASSIGN_OR_RETURN(std::vector<std::vector<int64_t>> counts,
-                           PatternCountsBatch({positions}));
-    return std::move(counts[0]);
-  }
-
-  StatusOr<std::vector<std::vector<int64_t>>> PatternCountsBatch(
-      const std::vector<std::vector<size_t>>& candidates) override {
-    std::vector<StoreKey> keys(candidates.size());
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      if (candidates[i].size() >
-          data::BooleanVerticalIndex::kMaxPatternLength) {
-        return Status::InvalidArgument("pattern length above the 2^k cap");
-      }
-      keys[i] = KeyOfPositions(candidates[i]);
-    }
-    const auto count_on = [&candidates](const CountableSegment& segment,
-                                        const std::vector<size_t>& slots) {
-      std::vector<int64_t> out;
-      for (size_t i : slots) {
-        const std::vector<int64_t> counts =
-            segment.boolean.SupersetCounts(candidates[i], segment.threads);
-        out.insert(out.end(), counts.begin(), counts.end());
-      }
-      return out;
-    };
-    FRAPP_ASSIGN_OR_RETURN(const std::vector<const Entry*> entries,
-                           Merge(std::move(keys), count_on));
-    std::vector<std::vector<int64_t>> counts;
-    counts.reserve(entries.size());
-    for (const Entry* entry : entries) counts.push_back(entry->answer);
-    return counts;
-  }
-
-  /// Puts every entry counted this run (call once, after both walks).
-  void CommitEntries(CountStore& store) {
-    for (auto& [key, entry] : memo_) store.Put(key, std::move(entry.value));
-  }
-
- private:
-  struct Entry {
-    std::vector<int64_t> value;
-    std::vector<int64_t> answer;
-  };
-  using MemoSlot = std::pair<const StoreKey, Entry>;
-
-  /// Count vector length of a key: one count, or 2^k superset counts.
-  size_t Arity(const StoreKey& key) const {
-    return boolean_ ? size_t{1} << key.size() : 1;
-  }
-
-  /// The count vectors of batch `slots` on `segment`, concatenated in slot
-  /// order. Empty, standing for all zeros, when there is nothing to count.
-  template <typename CountOn>
-  static std::vector<int64_t> Count(const CountableSegment* segment,
-                                    const std::vector<size_t>& slots,
-                                    const CountOn& count_on) {
-    if (segment == nullptr || segment->rows == 0 || slots.empty()) return {};
-    return count_on(*segment, slots);
-  }
-
-  /// The one hit/miss/expiry/fallback merge; returns the entry of every key
-  /// in the batch.
-  template <typename CountOn>
-  StatusOr<std::vector<const Entry*>> Merge(std::vector<StoreKey> keys,
-                                            const CountOn& count_on) {
-    std::vector<MemoSlot*> batch(keys.size());
+    std::vector<MemoSlot*> batch(itemsets.size());
     std::vector<size_t> fresh;  // batch slots of keys first seen now
-    for (size_t i = 0; i < keys.size(); ++i) {
-      const auto [it, inserted] = memo_.try_emplace(std::move(keys[i]));
+    for (size_t i = 0; i < itemsets.size(); ++i) {
+      const auto [it, inserted] = memo_.try_emplace(KeyOfItemset(itemsets[i]));
       batch[i] = &*it;
       if (inserted) fresh.push_back(i);
     }
 
-    std::vector<const std::vector<int64_t>*> stored(fresh.size(), nullptr);
+    std::vector<const int64_t*> stored(fresh.size(), nullptr);
     std::vector<size_t> hits;
     std::vector<size_t> misses;
     for (size_t j = 0; j < fresh.size(); ++j) {
-      const StoreKey& key = batch[fresh[j]]->first;
-      if (store_ != nullptr) stored[j] = store_->Find(key);
-      if (stored[j] != nullptr && stored[j]->size() != Arity(key)) {
-        return Status::Internal("stored count vector has the wrong arity");
-      }
+      if (store_ != nullptr) stored[j] = store_->Find(batch[fresh[j]]->first);
       (stored[j] != nullptr ? hits : misses).push_back(fresh[j]);
     }
     stats_.store_hits += hits.size();
@@ -256,51 +139,64 @@ class WindowCountSource final : public mining::SupportCountSource,
       }
       stats_.superset_fallbacks += misses.size();
     }
-    const std::vector<int64_t> delta = Count(&delta_, fresh, count_on);
-    const std::vector<int64_t> tail = Count(&tail_, fresh, count_on);
-    const std::vector<int64_t> expired = Count(&expired_, hits, count_on);
-    const std::vector<int64_t> recounted =
-        Count(fallback_ ? &*fallback_ : nullptr, misses, count_on);
+    const std::vector<size_t> delta = Count(&delta_, itemsets, fresh);
+    const std::vector<size_t> tail = Count(&tail_, itemsets, fresh);
+    const std::vector<size_t> expired = Count(&expired_, itemsets, hits);
+    const std::vector<size_t> recounted =
+        Count(fallback_ ? &*fallback_ : nullptr, itemsets, misses);
 
-    // Adds sign * flat[at, at + acc.size()) into acc.
-    const auto add = [](std::vector<int64_t>& acc,
-                        const std::vector<int64_t>& flat, size_t at,
-                        int64_t sign) {
-      if (flat.empty()) return;
-      for (size_t t = 0; t < acc.size(); ++t) acc[t] += sign * flat[at + t];
+    // The count at position `at` of `counts`, or 0 when it stands for all
+    // zeros (empty).
+    const auto at = [](const std::vector<size_t>& counts, size_t i) {
+      return counts.empty() ? int64_t{0} : static_cast<int64_t>(counts[i]);
     };
-    size_t at = 0;  // into delta and tail, which follow `fresh`
     size_t hit_at = 0;
     size_t miss_at = 0;
     for (size_t j = 0; j < fresh.size(); ++j) {
-      MemoSlot& slot = *batch[fresh[j]];
-      const size_t n = Arity(slot.first);
-      std::vector<int64_t> value =
-          stored[j] != nullptr ? *stored[j] : std::vector<int64_t>(n, 0);
-      if (stored[j] != nullptr) {
-        add(value, expired, hit_at, -1);
-        hit_at += n;
-      } else {
-        add(value, recounted, miss_at, 1);
-        miss_at += n;
-      }
-      add(value, delta, at, 1);
-      std::vector<int64_t> answer = value;
-      add(answer, tail, at, 1);
-      at += n;
-      if (boolean_) data::BooleanVerticalIndex::MobiusExactCounts(answer);
-      slot.second = Entry{std::move(value), std::move(answer)};
+      Entry& entry = batch[fresh[j]]->second;
+      entry.value = stored[j] != nullptr
+                        ? *stored[j] - at(expired, hit_at++)
+                        : at(recounted, miss_at++);
+      entry.value += at(delta, j);
+      entry.answer = entry.value + at(tail, j);
     }
 
-    std::vector<const Entry*> entries(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) entries[i] = &batch[i]->second;
-    return entries;
+    std::vector<uint64_t> totals(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      totals[i] = static_cast<uint64_t>(batch[i]->second.answer);
+    }
+    return totals;
+  }
+
+  /// Puts every entry counted this run (call once, after both walks).
+  void CommitEntries(CountStore& store) {
+    for (const auto& [key, entry] : memo_) store.Put(key, entry.value);
+  }
+
+ private:
+  struct Entry {
+    int64_t value = 0;
+    int64_t answer = 0;
+  };
+  using MemoSlot = std::pair<const StoreKey, Entry>;
+
+  /// The counts of itemsets[slots] on `segment`, in slot order. Empty,
+  /// standing for all zeros, when there is nothing to count.
+  static std::vector<size_t> Count(const CountableSegment* segment,
+                                   const std::vector<mining::Itemset>& itemsets,
+                                   const std::vector<size_t>& slots) {
+    if (segment == nullptr || segment->rows == 0 || slots.empty()) return {};
+    if (slots.size() == itemsets.size()) {  // the whole batch, in order
+      return segment->index.CountSupports(itemsets, segment->threads);
+    }
+    std::vector<mining::Itemset> subset;
+    subset.reserve(slots.size());
+    for (size_t i : slots) subset.push_back(itemsets[i]);
+    return segment->index.CountSupports(subset, segment->threads);
   }
 
   const CountStore* store_;
-  bool boolean_;
   size_t num_rows_;
-  size_t num_bits_;
   size_t num_threads_;
   IncrementalStats& stats_;
   CountableSegment expired_;
@@ -316,8 +212,6 @@ class WindowCountSource final : public mining::SupportCountSource,
 StoreIdentity MakeStoreIdentity(const dist::MechanismSpec& spec,
                                 const data::CategoricalSchema& schema,
                                 const IncrementalOptions& options) {
-  const bool boolean = spec.kind == dist::MechanismSpec::Kind::kMask ||
-                       spec.kind == dist::MechanismSpec::Kind::kCutPaste;
   StoreIdentity identity;
   identity.source_id = options.source_id;
   identity.schema_fingerprint = data::SchemaFingerprint(schema);
@@ -325,8 +219,6 @@ StoreIdentity MakeStoreIdentity(const dist::MechanismSpec& spec,
   identity.perturb_seed = options.perturb_seed;
   identity.retention_bits = DoubleBits(options.mining.min_support *
                                        (1.0 - options.superset_margin));
-  identity.kind = boolean ? CountKind::kBooleanSuperset : CountKind::kSupport;
-  identity.num_bits = boolean ? data::BooleanLayout(schema).num_bits() : 0;
   return identity;
 }
 
@@ -393,8 +285,6 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
 
   FRAPP_ASSIGN_OR_RETURN(std::unique_ptr<core::Mechanism> mech,
                          dist::MakeMechanism(spec, schema));
-  const bool boolean =
-      mech->shard_kind() == core::Mechanism::ShardKind::kBoolean;
 
   const size_t new_win = options.window_begin_row;
   if (new_win < store.window_begin()) {
@@ -408,12 +298,11 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   const size_t growth_begin =
       store_usable ? static_cast<size_t>(store.high_water()) : new_win;
 
-  // Substrate plane arity of this schema/kind; the item offsets rebuild
-  // categorical chunk indexes from raw planes.
+  // Substrate plane arity of this schema; the item offsets rebuild chunk
+  // indexes from raw planes.
   const std::vector<size_t> item_offsets =
       mining::VerticalIndex::ItemOffsets(schema);
-  const uint64_t planes =
-      boolean ? want.num_bits : schema.TotalCategories();
+  const uint64_t planes = schema.TotalCategories();
 
   // Everything a usable store serves without the source — expired chunks,
   // superset-fallback recounts — comes from its materialized substrate, so
@@ -457,13 +346,8 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   Segment tail;
   tail.num_rows = delta.num_rows % kChunk;  // the growth begins aligned
   if (tail.num_rows > 0) {
-    if (boolean) {
-      tail.boolean.push_back(std::move(delta.boolean.back()));
-      delta.boolean.pop_back();
-    } else {
-      tail.categorical.push_back(std::move(delta.categorical.back()));
-      delta.categorical.pop_back();
-    }
+    tail.shards.push_back(std::move(delta.shards.back()));
+    delta.shards.pop_back();
     delta.num_rows -= tail.num_rows;
   }
   const size_t total = source->TotalRows().value_or(ingest.stats.end_row);
@@ -489,11 +373,8 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   // The delta indexes ARE the new substrate chunks: capture their raw
   // planes before the counters consume them.
   std::vector<SubstrateChunk> delta_substrate;
-  delta_substrate.reserve(delta.categorical.size() + delta.boolean.size());
-  for (const mining::VerticalIndex& index : delta.categorical) {
-    delta_substrate.push_back(SubstrateChunk{index.raw_bits()});
-  }
-  for (const data::BooleanVerticalIndex& index : delta.boolean) {
+  delta_substrate.reserve(delta.shards.size());
+  for (const mining::VerticalIndex& index : delta.shards) {
     delta_substrate.push_back(SubstrateChunk{index.raw_bits()});
   }
 
@@ -501,24 +382,21 @@ StatusOr<IncrementalResult> AppendAndMine(CountStore& store,
   // range is reassembled only if a candidate actually misses the store.
   WindowCountSource::Parts parts;
   parts.store = store_usable ? &store : nullptr;
-  parts.expired = SegmentFromSubstrate(store, 0, expired_chunk_count, boolean,
-                                       item_offsets, planes);
+  parts.expired =
+      SegmentFromSubstrate(store, 0, expired_chunk_count, item_offsets);
   parts.delta = std::move(delta);
   parts.tail = std::move(tail);
   if (store_usable && growth_begin > new_win) {
     parts.stored_range = [&]() {
       return SegmentFromSubstrate(store, expired_chunk_count,
-                                  store.substrate().size(), boolean,
-                                  item_offsets, planes);
+                                  store.substrate().size(), item_offsets);
     };
   }
   const auto counts = std::make_shared<WindowCountSource>(
-      std::move(parts), boolean, total - new_win, boolean ? want.num_bits : 0,
-      options.num_threads, result.stats);
+      std::move(parts), total - new_win, options.num_threads, result.stats);
   FRAPP_ASSIGN_OR_RETURN(
       const std::unique_ptr<mining::SupportEstimator> estimator,
-      boolean ? mech->MakeBooleanCountSourceEstimator(counts)
-              : mech->MakeCountSourceEstimator(counts));
+      mech->MakeCountSourceEstimator(counts));
 
   // Two runs of the one lattice walk over the same source. The walk at the
   // store's retention threshold decides what the next run finds stored; the

@@ -2,14 +2,14 @@
 //
 // A from-scratch privacy-preserving mine costs perturb + index + count over
 // EVERY row, every time. But under the seeded-chunk contract the perturbed
-// database is a pure function of (chunk index, global seed), and both
-// counting substrates are linear over row partitions — so when a table has
-// only GROWN since the last mine, all previously counted rows contribute
-// exactly the count vectors they contributed before. AppendAndMine exploits
-// that: it keeps per-candidate count vectors for rows [window_begin,
-// high_water) materialized in a CountStore, perturbs and counts only the
-// newly appended chunks (and the partial tail chunk, which is never
-// stored), vector-adds, and re-runs only the cheap lattice walk — the same
+// database is a pure function of (chunk index, global seed), and support
+// counts are linear over row partitions — so when a table has only GROWN
+// since the last mine, all previously counted rows contribute exactly the
+// counts they contributed before. AppendAndMine exploits that: it keeps
+// per-itemset counts for rows [window_begin, high_water) materialized in a
+// CountStore, perturbs and counts only the newly appended chunks (and the
+// partial tail chunk, which is never stored), adds, and re-runs only the
+// cheap lattice walk — the same
 // mining::MineFrequentItemsets every engine ends in, fed by one window
 // count source instead of a full index. The mined result is BIT-IDENTICAL
 // to PrivacyPipeline::Run over the full window — the counts reaching the
@@ -24,9 +24,9 @@
 //     which gives the result. The source merges each key once per run and
 //     commits every key either walk counted, so a later run whose supmin
 //     drifts anywhere above retention finds every candidate it evaluates
-//     already materialized. Keys are whatever the estimator asks for:
-//     candidate itemsets, a boolean candidate's bit positions, or IND-GD's
-//     subset-domain cells.
+//     already materialized. Keys are whatever itemsets the estimator asks
+//     for: candidate itemsets, the sub-itemsets MASK and C&P fold into
+//     pattern counts, or IND-GD's subset-domain cells.
 //  2. The perturbed SUBSTRATE itself — the per-chunk bitmap-index planes of
 //     the perturbed rows [window_begin, high_water). Under the seeded-chunk
 //     contract these bits are immutable once written, so append pushes new
@@ -43,11 +43,11 @@
 // exactly once per run regardless.
 //
 // Windowed / decayed streams are the same algebra with a subtraction:
-// raising window_begin_row expires whole chunks, whose count vectors are
-// counted from the stored substrate and SUBTRACTED from the stored
-// vectors — bit-identical to a from-scratch mine of the surviving window,
-// because integer vector subtraction recovers exactly the counts the
-// expired rows contributed. The source never needs to cover expired rows
+// raising window_begin_row expires whole chunks, whose counts are counted
+// from the stored substrate and SUBTRACTED from the stored counts —
+// bit-identical to a from-scratch mine of the surviving window, because
+// integer subtraction recovers exactly the counts the expired rows
+// contributed. The source never needs to cover expired rows
 // again.
 //
 // AppendAndMine opens its TableSource through a factory rather than holding
@@ -126,10 +126,10 @@ struct IncrementalStats {
   /// stored).
   size_t tail_rows = 0;
 
-  /// Candidates served by merging a stored vector (the incremental win).
+  /// Itemsets served by merging a stored count (the incremental win).
   size_t store_hits = 0;
 
-  /// Candidates counted without a stored vector.
+  /// Itemsets counted without a stored count.
   size_t store_misses = 0;
 
   /// Store misses recounted from the materialized substrate (candidate
@@ -165,7 +165,7 @@ StatusOr<CountStore> LoadOrCreateStore(const std::string& path,
                                        bool* created = nullptr);
 
 /// Mines the window [options.window_begin_row, total rows) of the source,
-/// reusing every stored count vector and perturbing only the appended
+/// reusing every stored count and perturbing only the appended
 /// chunks and the partial tail (expired chunks and fallback recounts are
 /// served from the stored substrate). On success the store holds the new
 /// window's superset counts and substrate (call SaveToFile to persist); on

@@ -6,6 +6,7 @@
 #include <memory>
 
 #include "frapp/data/census.h"
+#include "one_hot_planes.h"
 
 namespace frapp {
 namespace core {
@@ -194,11 +195,18 @@ TEST(CutPasteSchemeTest, EstimateExactOnNoiselessPartialSupports) {
     total += static_cast<double>(copies);
     for (size_t i = 0; i < copies; ++i) t->AppendRow(rows_with[level]);
   }
-  // Bits 0 and 1 are the itemset; the histogram comes from the boolean
-  // bitmap index the engines count with.
-  data::LocalPatternCountSource source(
-      data::ShardedBooleanVerticalIndex::Build(*t, 1));
-  const std::vector<int64_t> histogram = *source.HitHistogram({0, 1});
+  // Bits 0 and 1 are the itemset; the histogram comes from the superset
+  // counts of its bitmap planes, the way the engines count.
+  const data::CategoricalSchema schema = BitSchema(8);
+  SupersetCounter counter(
+      schema, std::make_shared<mining::LocalSupportCountSource>(
+                  mining::ShardedVerticalIndex::FromShards(
+                      {OneHotPlanes(*t, schema)})));
+  std::vector<int64_t> counts =
+      (*counter.Count({*mining::Itemset::Create({{0, 0}, {1, 0}})}))[0];
+  SupersetCounter::MobiusExactCounts(counts);
+  const std::vector<int64_t> histogram =
+      SupersetCounter::HistogramFromPatternCounts(counts, k);
   linalg::Vector hits(k + 1);
   for (size_t j = 0; j <= k; ++j) hits[j] = static_cast<double>(histogram[j]);
   StatusOr<double> est = s->ReconstructFromHitHistogram(hits, t->num_rows(), k);
@@ -251,9 +259,10 @@ TEST(CutPasteSupportEstimatorTest, SingletonEstimateOnCensusData) {
   ASSERT_TRUE(perturbed.ok());
 
   CutPasteSupportEstimator estimator(
-      s, data::BooleanLayout(schema),
-      std::make_shared<data::LocalPatternCountSource>(
-          data::ShardedBooleanVerticalIndex::Build(*perturbed, 1)));
+      s, schema,
+      std::make_shared<mining::LocalSupportCountSource>(
+          mining::ShardedVerticalIndex::FromShards(
+              {OneHotPlanes(*perturbed, schema)})));
   // native-country = United-States, true support ~0.894.
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{5, 0}}));

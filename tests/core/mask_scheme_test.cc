@@ -8,18 +8,28 @@
 #include "frapp/data/census.h"
 #include "frapp/linalg/condition.h"
 #include "frapp/linalg/kronecker.h"
+#include "one_hot_planes.h"
 
 namespace frapp {
 namespace core {
 namespace {
 
-// Pattern counts of the bit `positions` over `table`, from the boolean
-// bitmap index the engines count with.
+// Pattern counts of the bit `positions` over `table`: the superset counts of
+// its bitmap planes, the way the engines count, through the Mobius fold.
 std::vector<double> PatternCounts(const data::BooleanTable& table,
                                   const std::vector<size_t>& positions) {
-  data::LocalPatternCountSource source(
-      data::ShardedBooleanVerticalIndex::Build(table, 1));
-  const std::vector<int64_t> counts = *source.PatternCounts(positions);
+  const data::CategoricalSchema schema = BitSchema(table.num_bits());
+  SupersetCounter counter(
+      schema, std::make_shared<mining::LocalSupportCountSource>(
+                  mining::ShardedVerticalIndex::FromShards(
+                      {OneHotPlanes(table, schema)})));
+  std::vector<mining::Item> items;
+  for (size_t p : positions) {
+    items.push_back({static_cast<uint16_t>(p), 0});
+  }
+  std::vector<int64_t> counts =
+      (*counter.Count({*mining::Itemset::Create(items)}))[0];
+  SupersetCounter::MobiusExactCounts(counts);
   return {counts.begin(), counts.end()};
 }
 
@@ -170,17 +180,24 @@ TEST(MaskSchemeTest, EstimateValidation) {
   // Pattern counts must have 2^k entries, k >= 0.
   EXPECT_FALSE(s->ReconstructFromPatternCounts({}, 1).ok());
   EXPECT_FALSE(s->ReconstructFromPatternCounts({1.0, 2.0, 3.0}, 6).ok());
-  // The estimator rejects an item whose bit lies past the indexed table:
-  // (b, 2) is bit 4 of this 4-bit table's 5-bit layout.
+  // The estimator rejects an item outside its schema: (b, 2) past b's two
+  // categories, and attribute 2 past the schema's two attributes.
   const data::CategoricalSchema schema = *data::CategoricalSchema::Create(
-      {{"a", {"0", "1"}}, {"b", {"0", "1", "2"}}});
+      {{"a", {"0", "1"}}, {"b", {"0", "1"}}});
   MaskSupportEstimator estimator(
-      *s, data::BooleanLayout(schema),
-      std::make_shared<data::LocalPatternCountSource>(
-          data::ShardedBooleanVerticalIndex::Build(*t, 1)));
+      *s, schema,
+      std::make_shared<mining::LocalSupportCountSource>(
+          mining::ShardedVerticalIndex::FromShards(
+              {OneHotPlanes(*t, schema)})));
   EXPECT_EQ(
       estimator.EstimateSupport(*mining::Itemset::Create({{1, 2}})).status().code(),
       StatusCode::kOutOfRange);
+  EXPECT_EQ(estimator.EstimateSupport(*mining::Itemset::Create({{2, 0}}))
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(estimator.EstimateSupport(mining::Itemset()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MaskSchemeTest, ShardSeededConcatenatesToMonolithic) {
@@ -229,9 +246,10 @@ TEST(MaskSupportEstimatorTest, ResolvesItemsetBits) {
   ASSERT_TRUE(perturbed.ok());
 
   MaskSupportEstimator estimator(
-      *s, data::BooleanLayout(schema),
-      std::make_shared<data::LocalPatternCountSource>(
-          data::ShardedBooleanVerticalIndex::Build(*perturbed, 1)));
+      *s, schema,
+      std::make_shared<mining::LocalSupportCountSource>(
+          mining::ShardedVerticalIndex::FromShards(
+              {OneHotPlanes(*perturbed, schema)})));
   // sex = Male has true support ~0.67; a singleton estimate should be close.
   StatusOr<double> est =
       estimator.EstimateSupport(*mining::Itemset::Create({{4, 1}}));

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "frapp/data/census.h"
-#include "frapp/data/pattern_count_source.h"
 #include "frapp/mining/count_source.h"
 #include "frapp/mining/support_counter.h"
 
@@ -35,15 +34,10 @@ class MechanismFixture : public ::testing::Test {
         seed, /*num_threads=*/1, indexes);
     EXPECT_TRUE(perturbed.ok()) << perturbed.ToString();
     StatusOr<std::unique_ptr<mining::SupportEstimator>> estimator =
-        mechanism.shard_kind() == Mechanism::ShardKind::kBoolean
-            ? mechanism.MakeBooleanCountSourceEstimator(
-                  std::make_shared<data::LocalPatternCountSource>(
-                      data::ShardedBooleanVerticalIndex::FromShards(
-                          std::move(indexes.boolean))))
-            : mechanism.MakeCountSourceEstimator(
-                  std::make_shared<mining::LocalSupportCountSource>(
-                      mining::ShardedVerticalIndex::FromShards(
-                          std::move(indexes.categorical))));
+        mechanism.MakeCountSourceEstimator(
+            std::make_shared<mining::LocalSupportCountSource>(
+                mining::ShardedVerticalIndex::FromShards(
+                    std::move(indexes.shards))));
     EXPECT_TRUE(estimator.ok()) << estimator.status().ToString();
     if (!estimator.ok()) return 1e9;
     StatusOr<double> est = (*estimator)->EstimateSupport(itemset);

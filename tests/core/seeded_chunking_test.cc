@@ -13,10 +13,10 @@
 #include <vector>
 
 #include "frapp/core/mechanism.h"
-#include "frapp/data/boolean_vertical_index.h"
 #include "frapp/data/boolean_view.h"
 #include "frapp/data/census.h"
 #include "frapp/mining/vertical_index.h"
+#include "one_hot_planes.h"
 
 namespace frapp {
 namespace core {
@@ -166,7 +166,7 @@ TEST_F(FusedShardIndexTest, RejectsWhatThePerturbedRowsPathRejects) {
     EXPECT_FALSE(mechanism->PerturbShard(mismatched, kSeed, 1).ok());
   }
   auto mask = *MaskMechanism::Create(table_->schema(), kGamma);
-  EXPECT_EQ(mask->PerturbShardIndex({table_, {0, kRows}, 0}, kSeed, 1)
+  EXPECT_EQ(mask->PerturbShard({table_, {0, kRows}, 0}, kSeed, 1)
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
@@ -184,7 +184,7 @@ std::vector<uint64_t> OracleBits(const Scheme& scheme,
       scheme.PerturbShardSeeded(onehot, view.global_begin, seed, threads);
   EXPECT_TRUE(perturbed.ok()) << perturbed.status().ToString();
   if (!perturbed.ok()) return {};
-  return data::BooleanVerticalIndex(*perturbed).raw_bits();
+  return OneHotPlanes(*perturbed, view.rows->schema()).raw_bits();
 }
 
 TEST_F(FusedShardIndexTest, BooleanPlanesEqualTransposeOfRowOracle) {
@@ -211,14 +211,14 @@ TEST_F(FusedShardIndexTest, BooleanPlanesEqualTransposeOfRowOracle) {
                      std::to_string(view.local.end) + ") global " +
                      std::to_string(view.global_begin) + " threads " +
                      std::to_string(threads));
-        StatusOr<data::BooleanVerticalIndex> mask_index =
-            mask->PerturbBooleanShardIndex(view, seed, threads);
+        StatusOr<mining::VerticalIndex> mask_index =
+            mask->PerturbShardIndex(view, seed, threads);
         ASSERT_TRUE(mask_index.ok()) << mask_index.status().ToString();
         EXPECT_EQ(mask_index->num_rows(), view.size());
         EXPECT_EQ(mask_index->raw_bits(),
                   OracleBits(mask->scheme(), view, seed, threads));
-        StatusOr<data::BooleanVerticalIndex> cp_index =
-            cut_paste->PerturbBooleanShardIndex(view, seed, threads);
+        StatusOr<mining::VerticalIndex> cp_index =
+            cut_paste->PerturbShardIndex(view, seed, threads);
         ASSERT_TRUE(cp_index.ok()) << cp_index.status().ToString();
         EXPECT_EQ(cp_index->num_rows(), view.size());
         EXPECT_EQ(cp_index->raw_bits(),
@@ -232,11 +232,10 @@ TEST_F(FusedShardIndexTest, BooleanPlanesRejectWhatTheRowOracleRejects) {
   auto mask = *MaskMechanism::Create(table_->schema(), kGamma);
   auto cut_paste = *CutPasteMechanism::Create(table_->schema(), 3, 0.494);
   const data::ShardView off_grid{table_, {0, 100}, 100};
-  EXPECT_EQ(mask->PerturbBooleanShardIndex(off_grid, kSeed, 1).status().code(),
+  EXPECT_EQ(mask->PerturbShardIndex(off_grid, kSeed, 1).status().code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(
-      cut_paste->PerturbBooleanShardIndex(off_grid, kSeed, 1).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(cut_paste->PerturbShardIndex(off_grid, kSeed, 1).status().code(),
+            StatusCode::kInvalidArgument);
   const data::BooleanTable onehot =
       *data::BooleanTable::FromCategoricalRange(*table_, {0, 100});
   EXPECT_FALSE(mask->scheme().PerturbShardSeeded(onehot, 100, kSeed).ok());
@@ -247,16 +246,13 @@ TEST_F(FusedShardIndexTest, BooleanPlanesRejectWhatTheRowOracleRejects) {
       {{"a", {"0", "1"}}, {"b", {"0", "1", "2"}}});
   const data::CategoricalTable narrow = *data::CategoricalTable::Create(other);
   EXPECT_FALSE(
-      cut_paste->PerturbBooleanShardIndex({&narrow, {0, 0}, 0}, kSeed, 1).ok());
+      cut_paste->PerturbShardIndex({&narrow, {0, 0}, 0}, kSeed, 1).ok());
 
-  // The categorical mechanisms build no boolean index.
-  for (const auto& mechanism : CategoricalMechanisms()) {
-    EXPECT_EQ(mechanism->PerturbBooleanShardIndex({table_, {0, kRows}, 0},
-                                                  kSeed, 1)
-                  .status()
-                  .code(),
-              StatusCode::kUnimplemented);
-  }
+  // The boolean mechanisms have no categorical row form.
+  EXPECT_EQ(cut_paste->PerturbShard({table_, {0, kRows}, 0}, kSeed, 1)
+                .status()
+                .code(),
+            StatusCode::kUnimplemented);
 }
 
 }  // namespace

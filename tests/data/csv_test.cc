@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 
@@ -11,9 +13,13 @@ namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
+  // Named from the process id and the test name, never from `this`: two
+  // test processes with the same heap layout must not share a file.
   void SetUp() override {
     path_ = ::testing::TempDir() + "/frapp_csv_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".csv";
+            std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".csv";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 

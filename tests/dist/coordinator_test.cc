@@ -18,6 +18,7 @@
 
 #include "frapp/data/census.h"
 #include "frapp/data/health.h"
+#include "frapp/data/shard_io.h"
 #include "frapp/dist/worker.h"
 #include "frapp/pipeline/privacy_pipeline.h"
 
@@ -291,6 +292,30 @@ TEST_F(CoordinatorTest, SchemaFingerprintMismatchFailsHandshake) {
   EXPECT_EQ(coordinator.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(coordinator.status().message().find("fingerprint"),
             std::string::npos);
+}
+
+TEST_F(CoordinatorTest, ProtocolV3HelloGetsAnErrorFrame) {
+  // Protocol v4 retired the boolean pattern messages; a v3 coordinator's
+  // Hello is answered with an Error frame naming the version mismatch,
+  // never with a HelloAck.
+  InProcessWorker worker(MakeWorkerOptions(*table_));
+  std::unique_ptr<Transport> transport = worker.TakeCoordinatorEndpoint();
+  HelloRequest hello;
+  hello.protocol_version = 3;
+  hello.schema_fingerprint = data::SchemaFingerprint(table_->schema());
+  hello.perturb_seed = kSeed;
+  hello.range_end = table_->num_rows();
+  hello.spec.kind = MechanismSpec::Kind::kMask;
+  ASSERT_TRUE(transport->Send(EncodeHello(hello)).ok());
+  const StatusOr<Message> reply = transport->Receive();
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, MessageType::kError);
+  const Status refused = DecodeError(*reply);
+  EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(refused.message().find("protocol version mismatch"),
+            std::string::npos)
+      << refused.ToString();
+  EXPECT_EQ(worker.Join().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(CoordinatorTest, RowCountMismatchFailsConnect) {

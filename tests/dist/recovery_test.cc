@@ -15,13 +15,13 @@
 #include <utility>
 #include <vector>
 
-#include "frapp/data/boolean_view.h"
 #include "frapp/data/census.h"
 #include "frapp/data/health.h"
 #include "frapp/dist/coordinator.h"
 #include "frapp/dist/fault.h"
 #include "frapp/dist/index_cache.h"
 #include "frapp/dist/worker.h"
+#include "frapp/mining/vertical_index.h"
 #include "frapp/pipeline/privacy_pipeline.h"
 
 namespace frapp {
@@ -214,8 +214,6 @@ TEST_F(RecoveryTest, WorkerReportedErrorStaysFatal) {
 // fault, not the worker's.
 class RefusingWorkerTransport : public Transport {
  public:
-  explicit RefusingWorkerTransport(uint8_t shard_kind)
-      : shard_kind_(shard_kind) {}
 
   Status Send(const Message& message) override {
     std::lock_guard<std::mutex> lock(mu_);
@@ -225,7 +223,6 @@ class RefusingWorkerTransport : public Transport {
         FRAPP_CHECK(hello.ok()) << hello.status().ToString();
         HelloAck ack;
         ack.num_rows = hello->range_end - hello->range_begin;
-        ack.shard_kind = shard_kind_;
         replies_.push_back(EncodeHelloAck(ack));
         break;
       }
@@ -258,7 +255,6 @@ class RefusingWorkerTransport : public Transport {
 
  private:
   std::mutex mu_;
-  const uint8_t shard_kind_;
   std::vector<Message> replies_;
 };
 
@@ -269,16 +265,12 @@ TEST_F(RecoveryTest, AssignRangeRefusalStaysFatalInsteadOfCascading) {
   // would cascade (requeue to worker 0, coverage mismatch, kUnavailable);
   // the refusal's own status must surface instead, naming the worker.
   MechanismSpec spec;
-  auto mechanism = *MakeMechanism(spec, table_->schema());
-  const uint8_t shard_kind =
-      mechanism->shard_kind() == core::Mechanism::ShardKind::kBoolean ? 1 : 0;
-
   std::vector<std::unique_ptr<InProcessWorker>> workers;
   std::vector<std::unique_ptr<Transport>> transports;
   workers.push_back(
       std::make_unique<InProcessWorker>(MakeWorkerOptions(*table_)));
   transports.push_back(workers[0]->TakeCoordinatorEndpoint());
-  transports.push_back(std::make_unique<RefusingWorkerTransport>(shard_kind));
+  transports.push_back(std::make_unique<RefusingWorkerTransport>());
   workers.push_back(
       std::make_unique<InProcessWorker>(MakeWorkerOptions(*table_)));
   transports.push_back(
@@ -480,13 +472,11 @@ TEST_F(RecoveryTest, IndexCacheKeyCoversEveryDeterminismInput) {
 // A bounded cache evicts least-recently-used entries instead of growing
 // forever — and recency is refreshed by Lookup, not insertion order.
 TEST_F(RecoveryTest, IndexCacheEvictsLeastRecentlyUsedUnderByteBudget) {
-  // Each entry's boolean shard holds 1024 words = 8 KiB; budget two and a
-  // bit entries so the third insert must evict exactly one.
-  StatusOr<data::BooleanTable> table = data::BooleanTable::CreateEmpty(64);
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  for (size_t row = 0; row < 64 * 1024; ++row) table->AppendRow(0);
+  // Each entry's shard holds 1024 words = 8 KiB; budget two and a bit
+  // entries so the third insert must evict exactly one.
   CachedRangeIndex entry;
-  entry.boolean.emplace_back(*table);
+  entry.shards.push_back(mining::VerticalIndex::FromRaw(
+      64 * 1024, {0}, std::vector<uint64_t>(1024, 0)));
   const size_t entry_bytes = entry.MemoryBytes();
   ASSERT_GT(entry_bytes, 0u);
 

@@ -112,7 +112,7 @@ TEST_F(TcpTransportTest, MovesMultiMegabyteFramesIntact) {
     payload[i] = static_cast<uint8_t>(i * 2654435761u >> 24);
   }
   std::thread sender([this, &payload] {
-    (void)client_->Send(Message{MessageType::kPatternResponse, payload});
+    (void)client_->Send(Message{MessageType::kCountResponse, payload});
   });
   StatusOr<Message> received = server_->Receive();
   sender.join();
@@ -188,7 +188,7 @@ TEST_F(TcpTransportTest, DeadlineMidFrameNeverDesyncsTheStream) {
     payload[i] = static_cast<uint8_t>(i * 2654435761u >> 24);
   }
   std::thread sender([this, &payload] {
-    (void)client_->Send(Message{MessageType::kPatternResponse, payload});
+    (void)client_->Send(Message{MessageType::kCountResponse, payload});
     (void)client_->Send(Ping(9, 3));
   });
 

@@ -7,8 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "frapp/data/boolean_vertical_index.h"
-
 namespace frapp {
 namespace dist {
 namespace {
@@ -63,6 +61,23 @@ TEST(WireFrameTest, RejectsUnknownMessageType) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("unknown message type"),
             std::string::npos);
+}
+
+TEST(WireFrameTest, RetiredPatternTypesDecodeAsUnknown) {
+  // Types 5 and 6 carried the boolean pattern counts up to protocol v3;
+  // since v4 every mechanism counts through CountRequest, and a frame of
+  // either type is refused like any other unknown type.
+  for (const uint8_t type : {uint8_t{5}, uint8_t{6}}) {
+    std::vector<uint8_t> frame = EncodeFrame(EncodeShutdown());
+    frame[4] = type;
+    size_t consumed = 0;
+    const StatusOr<Message> decoded =
+        DecodeFrame(frame.data(), frame.size(), &consumed);
+    ASSERT_FALSE(decoded.ok()) << "type " << int{type};
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find("unknown message type"),
+              std::string::npos);
+  }
 }
 
 TEST(WireFrameTest, RejectsOversizedLengthPrefix) {
@@ -132,13 +147,9 @@ TEST(WireHelloTest, RejectsTrailingGarbage) {
 TEST(WireHelloAckTest, RoundTrips) {
   HelloAck ack;
   ack.num_rows = 123456;
-  ack.shard_kind = 1;
-  ack.num_bits = 23;
   const StatusOr<HelloAck> decoded = DecodeHelloAck(EncodeHelloAck(ack));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->num_rows, ack.num_rows);
-  EXPECT_EQ(decoded->shard_kind, ack.shard_kind);
-  EXPECT_EQ(decoded->num_bits, ack.num_bits);
 }
 
 TEST(WireCountTest, RequestRoundTrips) {
@@ -189,53 +200,6 @@ TEST(WireCountTest, ResponseRejectsCountMismatch) {
   EXPECT_FALSE(DecodeCountResponse(message).ok());
 }
 
-TEST(WirePatternTest, RequestRoundTripsCandidateBlocks) {
-  PatternRequest request;
-  request.candidates = {{0, 7, 22}, {3}, {1, 2, 4, 5}};
-  const StatusOr<PatternRequest> decoded =
-      DecodePatternRequest(EncodePatternRequest(request));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->candidates, request.candidates);
-}
-
-TEST(WirePatternTest, RequestRejectsCandidateAboveCap) {
-  PatternRequest request;
-  request.candidates.push_back(std::vector<uint32_t>(
-      data::BooleanVerticalIndex::kMaxPatternLength + 1, 0));
-  EXPECT_FALSE(DecodePatternRequest(EncodePatternRequest(request)).ok());
-}
-
-TEST(WirePatternTest, RequestRejectsBatchAbovePatternBudget) {
-  // Each k=20 candidate costs 2^20 patterns; three of them blow the 2^21
-  // batch budget even though each is individually legal.
-  PatternRequest request;
-  for (int c = 0; c < 3; ++c) {
-    request.candidates.push_back(std::vector<uint32_t>(
-        data::BooleanVerticalIndex::kMaxPatternLength, 0));
-  }
-  const StatusOr<PatternRequest> decoded =
-      DecodePatternRequest(EncodePatternRequest(request));
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_NE(decoded.status().message().find("budget"), std::string::npos);
-}
-
-TEST(WirePatternTest, ResponseRoundTripsNegativeCounts) {
-  // Superset counts are never negative in practice, but i64 is the wire
-  // type (Mobius intermediates are signed); the codec must not mangle sign.
-  PatternResponse response;
-  response.superset_counts = {{5, -3, 0, 123456789}, {42, -1}};
-  const StatusOr<PatternResponse> decoded =
-      DecodePatternResponse(EncodePatternResponse(response));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->superset_counts, response.superset_counts);
-}
-
-TEST(WirePatternTest, ResponseRejectsTruncatedCounts) {
-  Message message = EncodePatternResponse(PatternResponse{{{1, 2, 3, 4}}});
-  message.payload.resize(message.payload.size() - 8);  // drop one count
-  EXPECT_FALSE(DecodePatternResponse(message).ok());
-}
-
 TEST(WireDecodeTest, HugeElementCountFailsAsTruncationNotAllocation) {
   // A 4-byte payload announcing 2^32-1 elements must come back as a
   // truncated-payload Status — never as a multi-gigabyte reserve() that
@@ -244,10 +208,6 @@ TEST(WireDecodeTest, HugeElementCountFailsAsTruncationNotAllocation) {
   EXPECT_FALSE(DecodeCountRequest(message).ok());
   message.type = MessageType::kCountResponse;
   EXPECT_FALSE(DecodeCountResponse(message).ok());
-  message.type = MessageType::kPatternRequest;
-  EXPECT_FALSE(DecodePatternRequest(message).ok());
-  message.type = MessageType::kPatternResponse;
-  EXPECT_FALSE(DecodePatternResponse(message).ok());
 }
 
 TEST(WireErrorTest, StatusRoundTrips) {
@@ -313,11 +273,9 @@ TEST(WireAssignRangeTest, RejectsTruncatedPayload) {
 TEST(WireRangeAckTest, RoundTrips) {
   RangeAck ack;
   ack.num_rows = 32768;
-  ack.num_bits = 23;
   const StatusOr<RangeAck> decoded = DecodeRangeAck(EncodeRangeAck(ack));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->num_rows, ack.num_rows);
-  EXPECT_EQ(decoded->num_bits, ack.num_bits);
 }
 
 TEST(WireRangeAckTest, ErrorFrameSurfacesAsRemoteStatus) {

@@ -36,7 +36,7 @@ std::vector<uint64_t> ConcatenatedPlanes(const core::ShardIndexes& indexes,
                                          size_t num_items) {
   std::vector<uint64_t> planes;
   for (size_t item = 0; item < num_items; ++item) {
-    for (const mining::VerticalIndex& shard : indexes.categorical) {
+    for (const mining::VerticalIndex& shard : indexes.shards) {
       const size_t words = shard.words_per_item();
       const auto first = shard.raw_bits().begin() + item * words;
       planes.insert(planes.end(), first, first + words);
@@ -146,7 +146,7 @@ TEST_P(IngestRangeTest, MatchesPerturbIntoIndexOverTheRange) {
       EXPECT_EQ(ingest->indexes.num_rows, end - range.begin);
       EXPECT_EQ(ingest->stats.total_rows, end - range.begin);
       EXPECT_EQ(ingest->stats.end_row, end);
-      EXPECT_EQ(ingest->stats.num_shards, ingest->indexes.categorical.size());
+      EXPECT_EQ(ingest->stats.num_shards, ingest->indexes.shards.size());
       EXPECT_EQ(ConcatenatedPlanes(ingest->indexes, num_items),
                 ConcatenatedPlanes(reference, num_items));
     }

@@ -191,15 +191,21 @@ TEST_F(PrivacyPipelineTest, StreamingBoundsPeakMemoryToOneShardPerWorker) {
 }
 
 TEST_F(PrivacyPipelineTest, BooleanStreamingBoundsPeakMemoryToOneShardPerWorker) {
+  // MASK perturbs one-hot bits straight into the same planes as the
+  // categorical mechanisms: one uint64_t per 64 rows per one-hot bit.
+  const auto index_bytes = [](size_t rows) {
+    return table_->schema().TotalCategories() * ((rows + 63) / 64) *
+           sizeof(uint64_t);
+  };
   auto mechanism = *core::MaskMechanism::Create(table_->schema(), kGamma);
   const PipelineResult serial =
       *PrivacyPipeline(Options(7, 1)).Run(*mechanism, *table_);
   EXPECT_EQ(serial.stats.num_shards, 7u);
-  // One worker -> one shard of perturbed one-hot rows (8 bytes each) alive.
+  // One worker -> exactly one shard's planes in flight at a time.
   EXPECT_EQ(serial.stats.peak_inflight_perturbed_bytes,
-            serial.stats.max_shard_rows * sizeof(uint64_t));
+            index_bytes(serial.stats.max_shard_rows));
   EXPECT_LT(serial.stats.peak_inflight_perturbed_bytes,
-            table_->num_rows() * sizeof(uint64_t));
+            index_bytes(table_->num_rows()));
 }
 
 TEST_F(PrivacyPipelineTest, RunMechanismMatchesPipelineAtAnyShardCount) {

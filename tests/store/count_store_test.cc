@@ -2,10 +2,10 @@
 //
 //  1. ROUNDTRIP: identity, window, and every entry survive save + load
 //     bit-for-bit, and the byte image is deterministic (sorted keys).
-//  2. REJECTION: truncation, magic/version damage, bit flips anywhere in
-//     the payload, duplicate keys, and wrong-arity count vectors are all
-//     detected before any counts are trusted; an identity mismatch refuses
-//     to merge even a pristine file.
+//  2. REJECTION: truncation, magic/version damage (older format versions
+//     included), bit flips anywhere in the payload, and duplicate keys are
+//     all detected before any counts are trusted; an identity mismatch
+//     refuses to merge even a pristine file.
 //  3. RUN PROTOCOL: Commit drops exactly the entries the run did not Put,
 //     so candidates that fall out of the superset self-clean.
 
@@ -34,8 +34,6 @@ StoreIdentity TestIdentity() {
   identity.spec_key = "det-gd|gamma=404c000000000000";
   identity.perturb_seed = 7;
   identity.retention_bits = 0x3f8eb851eb851eb8ULL;
-  identity.kind = CountKind::kSupport;
-  identity.num_bits = 0;
   return identity;
 }
 
@@ -67,36 +65,18 @@ TEST(CountStoreTest, RoundTripsIdentityWindowAndEntries) {
   EXPECT_EQ(loaded->window_begin(), 8192u);
   EXPECT_EQ(loaded->high_water(), 40960u);
   ASSERT_EQ(loaded->num_entries(), 3u);
-  const std::vector<int64_t>* pair = loaded->Find({0x00010002u, 0x00030000u});
+  const int64_t* pair = loaded->Find({0x00010002u, 0x00030000u});
   ASSERT_NE(pair, nullptr);
-  EXPECT_EQ(*pair, (std::vector<int64_t>{97}));
-  const std::vector<int64_t>* big = loaded->Find({0x00050001u});
+  EXPECT_EQ(*pair, 97);
+  const int64_t* big = loaded->Find({0x00050001u});
   ASSERT_NE(big, nullptr);
-  EXPECT_EQ((*big)[0], 12345678901LL);
+  EXPECT_EQ(*big, 12345678901LL);
   EXPECT_EQ(loaded->Find({0x00990000u}), nullptr);
 
   // Deterministic byte image: saving the loaded store reproduces the file.
   const std::string again = TempPath("roundtrip2.frappcnt");
   ASSERT_TRUE(loaded->SaveToFile(again).ok());
   EXPECT_EQ(ReadAll(path), ReadAll(again));
-}
-
-TEST(CountStoreTest, RoundTripsBooleanSupersetVectors) {
-  StoreIdentity identity = TestIdentity();
-  identity.kind = CountKind::kBooleanSuperset;
-  identity.num_bits = 19;
-  CountStore store(identity);
-  store.BeginRun();
-  store.Put({3u, 7u}, {100, 40, 30, 5});  // 2^2 superset counts
-  store.Commit(0, 16384);
-
-  const std::string path = TempPath("bool.frappcnt");
-  ASSERT_TRUE(store.SaveToFile(path).ok());
-  StatusOr<CountStore> loaded = CountStore::LoadFromFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const std::vector<int64_t>* counts = loaded->Find({3u, 7u});
-  ASSERT_NE(counts, nullptr);
-  EXPECT_EQ(*counts, (std::vector<int64_t>{100, 40, 30, 5}));
 }
 
 TEST(CountStoreTest, RoundTripsSubstrateChunks) {
@@ -260,6 +240,77 @@ TEST(CountStoreTest, Version2ChecksumsWordsAndTrailingBytes) {
   EXPECT_TRUE(CountStore::LoadFromFile(path).ok());
 }
 
+// A well-formed version 2 image: the v2 header (count kind and one-hot width
+// included), one boolean entry of 2^2 superset counts, no substrate, and a
+// valid word-wise checksum.
+std::string Version2Image() {
+  std::string image = "FRAPPCNT";
+  const auto u32 = [&image](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      image.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  const auto u64 = [&image](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      image.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  const auto str = [&](const std::string& text) {
+    u32(static_cast<uint32_t>(text.size()));
+    image += text;
+  };
+  u32(2);                      // format version
+  u32(1);                      // count kind: boolean superset
+  u64(0x1234abcd5678ef00ULL);  // schema fingerprint
+  u64(7);                      // perturbation seed
+  u64(0x3f8eb851eb851eb8ULL);  // retention threshold bits
+  u64(19);                     // one-hot width
+  u64(0);                      // window begin
+  u64(16384);                  // high water
+  str("unit-test-source");
+  str("mask|gamma=404c000000000000");
+  u64(1);  // entries
+  u32(2);  // key length
+  u32(3);
+  u32(7);
+  u32(4);  // counts length
+  for (uint64_t count : {100, 40, 30, 5}) u64(count);
+  u64(0);  // substrate planes
+  u64(0);  // substrate chunks
+  uint64_t h = 0xcbf29ce484222325ULL;
+  size_t i = 0;
+  for (; i + 8 <= image.size(); i += 8) {
+    uint64_t word = 0;
+    for (int b = 7; b >= 0; --b) {
+      word = (word << 8) | static_cast<uint8_t>(image[i + b]);
+    }
+    h = (h ^ word) * 0x100000001b3ULL;
+  }
+  for (; i < image.size(); ++i) {
+    h = (h ^ static_cast<uint8_t>(image[i])) * 0x100000001b3ULL;
+  }
+  u64(h);
+  return image;
+}
+
+TEST(CountStoreTest, RefusesVersion2Images) {
+  // Version 3 keeps one count per itemset key; a version 2 store (boolean
+  // superset vectors, a header with kind and width) is derived data and is
+  // refused by its version, never misread.
+  const std::string path = TempPath("v2-image.frappcnt");
+  WriteAll(path, Version2Image());
+  const StatusOr<CountStore> r = CountStore::LoadFromFile(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().ToString().find("format version 2"), std::string::npos)
+      << r.status().ToString();
+  const StatusOr<CountStore> via_identity =
+      LoadOrCreateStore(path, TestIdentity());
+  ASSERT_FALSE(via_identity.ok());
+  EXPECT_NE(via_identity.status().ToString().find("format version"),
+            std::string::npos);
+}
+
 TEST(CountStoreTest, LoadOrCreateValidatesIdentity) {
   const std::string path = TempPath("identity.frappcnt");
   std::remove(path.c_str());
@@ -316,7 +367,7 @@ TEST(CountStoreTest, CommitDropsEntriesTheRunDidNotTouch) {
   EXPECT_EQ(store.num_entries(), 2u);
   EXPECT_EQ(store.Find({2u}), nullptr);
   ASSERT_NE(store.Find({1u}), nullptr);
-  EXPECT_EQ((*store.Find({1u}))[0], 11);
+  EXPECT_EQ(*store.Find({1u}), 11);
   EXPECT_EQ(store.window_begin(), 0u);
   EXPECT_EQ(store.high_water(), 16384u);
 }

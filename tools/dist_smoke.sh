@@ -85,7 +85,7 @@ launch_workers() {
   done
 }
 
-for mechanism in det-gd mask; do
+for mechanism in det-gd mask cp; do
   echo "=== $mechanism: $num_workers workers vs single-process pipeline ==="
   launch_workers
 
