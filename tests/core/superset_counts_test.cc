@@ -135,7 +135,11 @@ TEST(SupersetCounterTest, HitHistogramMatchesScalar) {
             expected);
 }
 
-TEST(SupersetCounterTest, PatternCountsSumToRowCount) {
+// The boolean plane index is VerticalIndex over one-hot bits: one shard
+// (BooleanVerticalIndexTest) or FromShards over row ranges
+// (ShardedBooleanVerticalIndexTest), counted through SupersetCounter.
+
+TEST(BooleanVerticalIndexTest, PatternCountsSumToRowCount) {
   const data::BooleanTable table = RandomBooleanTable(10, 77, 13);
   const std::vector<int64_t> counts =
       PatternCounts(BitSchema(10), BitSource(table), BitItemset({0, 4, 9}));
@@ -147,32 +151,79 @@ TEST(SupersetCounterTest, PatternCountsSumToRowCount) {
   EXPECT_EQ(total, 77);
 }
 
-TEST(SupersetCounterTest, PatternCountsMatchMonolithicOverGrid) {
+TEST(ShardedBooleanVerticalIndexTest, PatternCountsMatchMonolithicOverGrid) {
   // Any row partition at any thread count answers every query exactly like
-  // one shard, lengths past five included.
+  // one shard, and one shard like a scalar row scan.
   const data::BooleanTable table = RandomBooleanTable(23, 20011, 5);
   const data::CategoricalSchema schema = BitSchema(23);
   const std::vector<std::vector<size_t>> queries = {
-      {0}, {3, 7}, {1, 4, 9}, {0, 5, 11, 17}, {2, 6, 10, 15, 22},
-      {0, 1, 2, 4, 5, 7, 9}};
+      {0}, {3, 7}, {1, 4, 9}, {0, 5, 11, 17}, {2, 6, 10, 15, 22}};
   for (const std::vector<size_t>& positions : queries) {
     const std::vector<int64_t> monolithic =
         PatternCounts(schema, BitSource(table), BitItemset(positions));
     EXPECT_EQ(monolithic, ScalarPatternCounts(table, positions));
     for (size_t shards : {2u, 3u, 7u}) {
       for (size_t threads : {1u, 2u, 4u}) {
-        EXPECT_EQ(PatternCounts(schema,
-                                BitSource(table,
-                                          data::ShardedTable::Plan(
-                                              table.num_rows(), shards, 1),
-                                          threads),
-                                BitItemset(positions)),
-                  monolithic)
-            << "k=" << positions.size() << " shards=" << shards
-            << " threads=" << threads;
+        SCOPED_TRACE(testing::Message() << "k=" << positions.size()
+                                        << " shards=" << shards
+                                        << " threads=" << threads);
+        const auto source = BitSource(
+            table, data::ShardedTable::Plan(table.num_rows(), shards, 1),
+            threads);
+        EXPECT_EQ(source->num_rows(), table.num_rows());
+        EXPECT_EQ(source->index().num_shards(), shards);
+        const std::vector<int64_t> sharded =
+            PatternCounts(schema, source, BitItemset(positions));
+        EXPECT_EQ(sharded, monolithic);
+        EXPECT_EQ(
+            SupersetCounter::HistogramFromPatternCounts(sharded,
+                                                        positions.size()),
+            SupersetCounter::HistogramFromPatternCounts(monolithic,
+                                                        positions.size()));
       }
     }
   }
+}
+
+TEST(ShardedBooleanVerticalIndexTest, PatternCountsSumToRowCount) {
+  const data::BooleanTable table = RandomBooleanTable(12, 4097, 11);
+  const std::vector<int64_t> counts = PatternCounts(
+      BitSchema(12), BitSource(table, data::ShardedTable::Plan(4097, 3, 1)),
+      BitItemset({1, 5, 8, 11}));
+  int64_t total = 0;
+  for (int64_t c : counts) {
+    EXPECT_GE(c, 0);
+    total += c;
+  }
+  EXPECT_EQ(total, static_cast<int64_t>(table.num_rows()));
+}
+
+TEST(ShardedBooleanVerticalIndexTest, LongPatternsBeyondIndexedCutoff) {
+  // Lengths past five stay exact on shards: the estimators have no
+  // row-scan fallback.
+  const data::BooleanTable table = RandomBooleanTable(10, 1000, 3);
+  const data::CategoricalSchema schema = BitSchema(10);
+  for (const std::vector<size_t>& positions :
+       std::vector<std::vector<size_t>>{{0, 1, 2, 4, 5, 7},
+                                        {0, 1, 2, 4, 5, 7, 9},
+                                        {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}) {
+    EXPECT_EQ(PatternCounts(schema,
+                            BitSource(table, data::ShardedTable::Plan(1000, 4, 1),
+                                      2),
+                            BitItemset(positions)),
+              ScalarPatternCounts(table, positions))
+        << "k=" << positions.size();
+  }
+}
+
+TEST(ShardedBooleanVerticalIndexTest, FromShardsConcatenatesRowCounts) {
+  const data::BooleanTable table = RandomBooleanTable(8, 300, 9);
+  const auto source = BitSource(table, {{0, 100}, {100, 170}, {170, 300}});
+  EXPECT_EQ(source->num_rows(), 300u);
+  EXPECT_EQ(source->index().num_shards(), 3u);
+  const data::CategoricalSchema schema = BitSchema(8);
+  EXPECT_EQ(PatternCounts(schema, source, BitItemset({2, 3, 6})),
+            PatternCounts(schema, BitSource(table), BitItemset({2, 3, 6})));
 }
 
 TEST(SupersetCounterTest, SupersetCountsAreSubItemsetSupports) {
